@@ -33,6 +33,17 @@ namespace {
 
 using namespace transtore;
 
+/// The solution's LP-engine counters as record fields (informational: no
+/// gate reads them).
+void add_lp_counters(bench::bench_record& r, const milp::solution& sol) {
+  r.extras.emplace_back("lu_factorizations",
+                        static_cast<double>(sol.lu_factorizations));
+  r.extras.emplace_back("primal_fallbacks",
+                        static_cast<double>(sol.primal_fallbacks));
+  r.extras.emplace_back("dense_fallbacks",
+                        static_cast<double>(sol.dense_fallbacks));
+}
+
 std::string status_name(milp::solve_status s) {
   switch (s) {
     case milp::solve_status::optimal: return "optimal";
@@ -244,6 +255,7 @@ int main(int argc, char** argv) {
         for (const auto& ws : sol.workers) steals += ws.steals;
         r.extras.emplace_back("steals", static_cast<double>(steals));
       }
+      add_lp_counters(r, sol);
       records.push_back(r);
 
       if (s == 0 && dense_viable) {
@@ -308,6 +320,7 @@ int main(int argc, char** argv) {
                ? static_cast<double>(sol.nodes_explored) /
                      static_cast<double>(sols[0].nodes_explored)
                : 1.0}};
+      add_lp_counters(r, sol);
       records.push_back(r);
       std::printf("%-7s %-12s %10d %8ld %10ld %10ld %8ld %12.3f %.3fs (%s, "
                   "nodes vs list warm %.2fx)\n",

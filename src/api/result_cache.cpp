@@ -131,25 +131,29 @@ result_cache::result_cache(result_cache_options options)
 }
 
 result_cache::entry_ptr result_cache::lookup(const cache_key& key) {
+  // A lookup is counted under the same lock as its outcome (memory hit,
+  // disk hit or miss), so every stats() snapshot has
+  // lookups == memory_hits + disk_hits + misses.
   {
     std::lock_guard<std::mutex> guard(lock_);
-    ++stats_.lookups;
     const auto it = index_.find(key.canonical);
     if (it != index_.end() && it->second->identity == key.identity) {
+      ++stats_.lookups;
       ++stats_.memory_hits;
       touch(it->second);
       return it->second->value;
     }
+    if (options_.disk_dir.empty()) {
+      ++stats_.lookups;
+      ++stats_.misses;
+      return nullptr;
+    }
   }
   // Disk probe outside the lock: deserialization is the expensive part and
   // concurrent probes for different keys should not serialize.
-  if (options_.disk_dir.empty()) {
-    std::lock_guard<std::mutex> guard(lock_);
-    ++stats_.misses;
-    return nullptr;
-  }
   entry_ptr from_disk = disk_lookup(key);
   std::lock_guard<std::mutex> guard(lock_);
+  ++stats_.lookups;
   if (!from_disk) {
     ++stats_.misses;
     return nullptr;

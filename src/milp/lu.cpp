@@ -7,18 +7,54 @@
 #include "common/error.h"
 
 namespace transtore::milp {
-namespace {
-
-/// One active-matrix entry inside a row.
-struct row_entry {
-  int col; // basis position
-  double value;
-};
-
-} // namespace
 
 bool basis_lu::factorize(int m, const std::vector<sparse_column>& columns) {
   require(static_cast<int>(columns.size()) == m, "basis_lu: bad column count");
+  in_start_.assign(1, 0);
+  in_rows_.clear();
+  in_values_.clear();
+  for (const sparse_column& c : columns) {
+    for (const auto& [i, v] : c) {
+      in_rows_.push_back(i);
+      in_values_.push_back(v);
+    }
+    in_start_.push_back(static_cast<int>(in_rows_.size()));
+  }
+  return factorize(m, in_start_, in_rows_, in_values_);
+}
+
+void basis_lu::gather_column(int col, int stamp,
+                             std::vector<std::pair<int, double>>& out) {
+  // Gather the valid entries of column `col`, compacting its row list. A
+  // row can appear twice in the list -- a stale copy from a cancelled
+  // entry plus a later re-fill -- so gathered rows are stamped: processing
+  // a duplicate would eliminate the same row twice and corrupt both the
+  // values and the Markowitz counts.
+  out.clear();
+  int* list = col_rows_.data(col);
+  const int size = col_rows_.size(col);
+  int keep = 0;
+  for (int s = 0; s < size; ++s) {
+    const int i = list[s];
+    if (row_done_[i] || gather_mark_[i] == stamp) continue;
+    const row_entry* e = nullptr;
+    for (const row_entry* r = rows_.begin(i); r != rows_.end(i); ++r)
+      if (r->col == col) {
+        e = r;
+        break;
+      }
+    if (e == nullptr) continue; // cancelled
+    gather_mark_[i] = stamp;
+    list[keep++] = i;
+    out.emplace_back(i, e->value);
+  }
+  col_rows_.resize(col, keep);
+}
+
+bool basis_lu::factorize(int m, std::span<const int> start,
+                         std::span<const int> rows,
+                         std::span<const double> values) {
+  require(static_cast<int>(start.size()) == m + 1, "basis_lu: bad column count");
   m_ = m;
   valid_ = false;
 
@@ -40,79 +76,45 @@ bool basis_lu::factorize(int m, const std::vector<sparse_column>& columns) {
     return true;
   }
 
-  // Active matrix: exact row-wise storage plus per-column row lists that may
-  // carry stale rows (cancelled entries, pivoted rows) and are compacted
-  // lazily. col_count / row_count are kept exact -- they drive Markowitz.
-  std::vector<std::vector<row_entry>> rows(m);
-  std::vector<std::vector<int>> col_rows(m);
-  std::vector<int> col_count(m, 0);
-  std::vector<int> row_count(m, 0);
+  // Active matrix. Counting pass first (it also validates, column by
+  // column), so each row and column list is laid out at its exact size.
+  col_count_.assign(m, 0);
+  row_count_.assign(m, 0);
   for (int p = 0; p < m; ++p) {
-    for (const auto& [i, v] : columns[p]) {
+    for (int k = start[p]; k < start[p + 1]; ++k) {
+      const int i = rows[k];
       require(i >= 0 && i < m, "basis_lu: row index out of range");
-      if (v == 0.0) continue;
-      rows[i].push_back({p, v});
-      col_rows[p].push_back(i);
-      ++col_count[p];
-      ++row_count[i];
+      if (values[k] == 0.0) continue;
+      ++col_count_[p];
+      ++row_count_[i];
     }
-    if (col_count[p] == 0) return false; // structurally singular
+    if (col_count_[p] == 0) return false; // structurally singular
+  }
+  rows_.reset(m);
+  col_rows_.reset(m);
+  for (int i = 0; i < m; ++i) rows_.make_room(i, row_count_[i]);
+  for (int p = 0; p < m; ++p) {
+    col_rows_.make_room(p, col_count_[p]);
+    for (int k = start[p]; k < start[p + 1]; ++k) {
+      const int i = rows[k];
+      const double v = values[k];
+      if (v == 0.0) continue;
+      rows_.push_back(i, {p, v});
+      col_rows_.push_back(p, i);
+    }
   }
 
-  // Count buckets with lazy deletion: a column is (re)pushed whenever its
-  // count changes; entries whose recorded count disagrees are stale.
-  std::vector<std::vector<int>> bucket(static_cast<std::size_t>(m) + 1);
-  for (int p = 0; p < m; ++p) bucket[static_cast<std::size_t>(col_count[p])].push_back(p);
-  auto rebucket = [&](int col) {
-    bucket[static_cast<std::size_t>(col_count[col])].push_back(col);
-  };
+  bucket_.reset(m + 1);
+  for (int p = 0; p < m; ++p) bucket_.push_back(col_count_[p], p);
+  auto rebucket = [&](int col) { bucket_.push_back(col_count_[col], col); };
 
-  std::vector<bool> row_done(m, false);
-  std::vector<bool> col_done(m, false);
-
-  // Dense scratch for the row merges.
-  std::vector<double> dense(m, 0.0);
-  std::vector<char> present(m, 0);
-  std::vector<int> pattern;
-  pattern.reserve(64);
-
-  // Valid (row, value) entries of one candidate column, gathered during the
-  // pivot search and reused by the elimination when that column is chosen.
-  struct col_cache {
-    int col = -1;
-    std::vector<std::pair<int, double>> entries; // (row, value)
-  };
-  col_cache cached;
-  std::vector<std::pair<int, double>> scratch_entries; // candidate gathers
-
-  auto find_in_row = [&](int row, int col) -> const row_entry* {
-    for (const row_entry& e : rows[row])
-      if (e.col == col) return &e;
-    return nullptr;
-  };
-
-  // Gather the valid entries of column `col`, compacting its row list. A
-  // row can appear twice in the list -- a stale copy from a cancelled
-  // entry plus a later re-fill -- so gathered rows are stamped: processing
-  // a duplicate would eliminate the same row twice and corrupt both the
-  // values and the Markowitz counts.
-  std::vector<int> gather_mark(m, -1);
+  row_done_.assign(m, 0);
+  col_done_.assign(m, 0);
+  dense_.assign(m, 0.0);
+  present_.assign(m, 0);
+  gather_mark_.assign(m, -1);
   int gather_stamp = -1;
-  auto gather_column = [&](int col, std::vector<std::pair<int, double>>& out) {
-    out.clear();
-    ++gather_stamp;
-    std::vector<int>& list = col_rows[col];
-    std::size_t keep = 0;
-    for (const int i : list) {
-      if (row_done[i] || gather_mark[i] == gather_stamp) continue;
-      const row_entry* e = find_in_row(i, col);
-      if (e == nullptr) continue; // cancelled
-      gather_mark[i] = gather_stamp;
-      list[keep++] = i;
-      out.emplace_back(i, e->value);
-    }
-    list.resize(keep);
-  };
+  cached_col_ = -1;
 
   for (int k = 0; k < m; ++k) {
     // ---------------------------------------------------- Markowitz search
@@ -126,22 +128,22 @@ bool basis_lu::factorize(int m, const std::vector<sparse_column>& columns) {
       if (count == 0) {
         // A live column can never sit in bucket 0: count 0 means every
         // entry cancelled, i.e. the basis became numerically singular.
-        for (const int j : bucket[0])
-          if (!col_done[j] && col_count[j] == 0) return false;
+        for (const int* j = bucket_.begin(0); j != bucket_.end(0); ++j)
+          if (!col_done_[*j] && col_count_[*j] == 0) return false;
         continue;
       }
-      std::vector<int>& b = bucket[static_cast<std::size_t>(count)];
-      std::size_t idx = 0;
-      while (idx < b.size()) {
-        const int j = b[idx];
-        if (col_done[j] || col_count[j] != count) {
-          b[idx] = b.back(); // stale: drop (order is still deterministic)
-          b.pop_back();
+      int idx = 0;
+      while (idx < bucket_.size(count)) {
+        const int j = bucket_.data(count)[idx];
+        if (col_done_[j] || col_count_[j] != count) {
+          // stale: drop (order is still deterministic)
+          bucket_.data(count)[idx] = bucket_.back(count);
+          bucket_.pop_back(count);
           continue;
         }
         ++idx;
-        std::vector<std::pair<int, double>>& entries = scratch_entries;
-        gather_column(j, entries);
+        std::vector<std::pair<int, double>>& entries = scratch_entries_;
+        gather_column(j, ++gather_stamp, entries);
         double colmax = 0.0;
         for (const auto& [i, v] : entries) colmax = std::max(colmax, std::abs(v));
         if (colmax < options_.pivot_tolerance)
@@ -153,7 +155,7 @@ bool basis_lu::factorize(int m, const std::vector<sparse_column>& columns) {
         long cand_cost = std::numeric_limits<long>::max();
         for (const auto& [i, v] : entries) {
           if (std::abs(v) < admissible) continue;
-          const long cost = static_cast<long>(row_count[i] - 1) *
+          const long cost = static_cast<long>(row_count_[i] - 1) *
                             static_cast<long>(count - 1);
           if (cost < cand_cost || (cost == cand_cost && i < cand_row)) {
             cand_cost = cost;
@@ -168,8 +170,8 @@ bool basis_lu::factorize(int m, const std::vector<sparse_column>& columns) {
           best_row = cand_row;
           best_col = j;
           best_value = cand_value;
-          cached.col = j;
-          std::swap(cached.entries, scratch_entries);
+          cached_col_ = j;
+          std::swap(cached_entries_, scratch_entries_);
         }
         if (best_cost == 0) break;
         if (count > 1 && examined >= options_.search_columns) break;
@@ -187,92 +189,98 @@ bool basis_lu::factorize(int m, const std::vector<sparse_column>& columns) {
     pivot_row_[k] = pr;
     pivot_col_[k] = pc;
     u_pivot_[k] = pv;
-    row_done[pr] = true;
-    col_done[pc] = true;
+    row_done_[pr] = 1;
+    col_done_[pc] = 1;
 
     // The pivot row's remaining entries become U row k and leave the
-    // active matrix.
-    for (const row_entry& e : rows[pr]) {
-      if (e.col == pc || col_done[e.col]) continue;
+    // active matrix. They are copied out once: the row merges below may
+    // relocate rows inside the arena.
+    pivot_entries_.clear();
+    for (const row_entry* e = rows_.begin(pr); e != rows_.end(pr); ++e)
+      if (e->col != pc) pivot_entries_.push_back(*e);
+    for (const row_entry& e : pivot_entries_) {
+      if (col_done_[e.col]) continue;
       u_col_.push_back(e.col);
       u_value_.push_back(e.value);
-      --col_count[e.col];
+      --col_count_[e.col];
       rebucket(e.col);
     }
     u_start_.push_back(static_cast<int>(u_col_.size()));
 
     // Eliminate column pc from every other active row. The candidate cache
     // holds exactly the valid (row, value) entries of the pivot column.
-    if (cached.col != pc) gather_column(pc, cached.entries);
-    for (const auto& [i, a_ipc] : cached.entries) {
-      if (i == pr || row_done[i]) continue;
+    if (cached_col_ != pc) gather_column(pc, ++gather_stamp, cached_entries_);
+    for (const auto& [i, a_ipc] : cached_entries_) {
+      if (i == pr || row_done_[i]) continue;
       const double mult = a_ipc / pv;
       l_row_.push_back(i);
       l_value_.push_back(mult);
 
       // row_i -= mult * row_pr, dropping the pivot column.
-      pattern.clear();
-      for (const row_entry& e : rows[i]) {
-        if (e.col == pc) continue; // eliminated exactly
-        dense[e.col] = e.value;
-        present[e.col] = 1;
-        pattern.push_back(e.col);
+      pattern_.clear();
+      for (const row_entry* e = rows_.begin(i); e != rows_.end(i); ++e) {
+        if (e->col == pc) continue; // eliminated exactly
+        dense_[e->col] = e->value;
+        present_[e->col] = 1;
+        pattern_.push_back(e->col);
       }
-      for (const row_entry& e : rows[pr]) {
-        if (e.col == pc) continue;
-        if (!present[e.col]) {
-          present[e.col] = 1;
-          pattern.push_back(e.col);
-          dense[e.col] = 0.0;
+      for (const row_entry& e : pivot_entries_) {
+        if (!present_[e.col]) {
+          present_[e.col] = 1;
+          pattern_.push_back(e.col);
+          dense_[e.col] = 0.0;
           // Fill-in: column e.col gains an entry in row i.
-          col_rows[e.col].push_back(i);
-          ++col_count[e.col];
+          col_rows_.push_back(e.col, i);
+          ++col_count_[e.col];
           rebucket(e.col);
         }
-        dense[e.col] -= mult * e.value;
+        dense_[e.col] -= mult * e.value;
       }
-      std::vector<row_entry>& target = rows[i];
-      target.clear();
-      for (const int c : pattern) {
-        const double v = dense[c];
-        dense[c] = 0.0;
-        present[c] = 0;
+      rows_.make_room(i, static_cast<int>(pattern_.size()));
+      row_entry* target = rows_.data(i);
+      int size = 0;
+      for (const int c : pattern_) {
+        const double v = dense_[c];
+        dense_[c] = 0.0;
+        present_[c] = 0;
         if (v == 0.0) {
           // Exact cancellation: the entry leaves column c.
-          --col_count[c];
+          --col_count_[c];
           rebucket(c);
           continue;
         }
-        target.push_back({c, v});
+        target[size++] = {c, v};
       }
-      row_count[i] = static_cast<int>(target.size());
+      rows_.resize(i, size);
+      row_count_[i] = size;
     }
     // The pivot column's entries (including the pivot) are gone.
-    col_count[pc] = 0;
-    col_rows[pc].clear();
-    rows[pr].clear();
+    col_count_[pc] = 0;
+    col_rows_.clear(pc);
+    rows_.clear(pr);
     l_start_.push_back(static_cast<int>(l_row_.size()));
-    cached.col = -1;
+    cached_col_ = -1;
   }
 
   // Column-wise U for btran: map each U entry's basis position to its pivot
   // step and bucket by that step.
-  std::vector<int> step_of_position(m, -1);
-  for (int k = 0; k < m; ++k) step_of_position[pivot_col_[k]] = k;
+  step_of_position_.assign(m, -1);
+  for (int k = 0; k < m; ++k) step_of_position_[pivot_col_[k]] = k;
   ucol_start_.assign(static_cast<std::size_t>(m) + 1, 0);
-  for (const int c : u_col_) ++ucol_start_[static_cast<std::size_t>(step_of_position[c]) + 1];
+  for (const int c : u_col_)
+    ++ucol_start_[static_cast<std::size_t>(step_of_position_[c]) + 1];
   for (int k = 0; k < m; ++k)
     ucol_start_[static_cast<std::size_t>(k) + 1] += ucol_start_[static_cast<std::size_t>(k)];
   ucol_step_.assign(u_col_.size(), 0);
   ucol_value_.assign(u_col_.size(), 0.0);
-  std::vector<int> cursor(ucol_start_.begin(), ucol_start_.end() - 1);
+  cursor_.assign(ucol_start_.begin(), ucol_start_.end() - 1);
   for (int k = 0; k < m; ++k) {
     for (int idx = u_start_[k]; idx < u_start_[k + 1]; ++idx) {
-      const int j = step_of_position[u_col_[static_cast<std::size_t>(idx)]];
-      ucol_step_[static_cast<std::size_t>(cursor[j])] = k;
-      ucol_value_[static_cast<std::size_t>(cursor[j])] =
+      const int j = step_of_position_[u_col_[static_cast<std::size_t>(idx)]];
+      ucol_step_[static_cast<std::size_t>(cursor_[j])] = k;
+      ucol_value_[static_cast<std::size_t>(cursor_[j])] =
           u_value_[static_cast<std::size_t>(idx)];
-      ++cursor[j];
+      ++cursor_[j];
     }
   }
 

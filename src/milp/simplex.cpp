@@ -15,7 +15,7 @@ constexpr double inf = std::numeric_limits<double>::infinity();
 
 simplex_solver::simplex_solver(const lp_problem& problem,
                                simplex_options options)
-    : problem_(problem), options_(options) {
+    : problem_(problem), options_(options), lu_(options.lu) {
   n_ = problem.num_vars;
   m_ = problem.num_rows;
   require(static_cast<int>(problem.cost.size()) == n_ &&
@@ -43,7 +43,6 @@ simplex_solver::simplex_solver(const lp_problem& problem,
   basic_position_.assign(total_columns(), -1);
   status_.assign(total_columns(), status::at_lower);
   x_.assign(total_columns(), 0.0);
-  lu_ = basis_lu(options_.lu);
   dense_active_ = options_.engine == basis_engine::dense;
   // The O(m^2) dense inverse is what caps the dense engine at ~2500 rows;
   // under the sparse engine it is allocated lazily, only if the numerical
@@ -101,9 +100,14 @@ void simplex_solver::reset_to_slack_basis() {
   // Slack basis matrix is -I, so its inverse is -I as well; the LU
   // factorization of -I is trivial and cannot fail.
   if (options_.engine == basis_engine::sparse_lu) {
-    std::vector<basis_lu::sparse_column> cols(static_cast<std::size_t>(m_));
-    for (int i = 0; i < m_; ++i) cols[static_cast<std::size_t>(i)] = {{i, -1.0}};
-    require(lu_.factorize(m_, cols), "simplex: slack basis factorization");
+    basis_start_.resize(static_cast<std::size_t>(m_) + 1);
+    basis_rows_.resize(static_cast<std::size_t>(m_));
+    basis_values_.assign(static_cast<std::size_t>(m_), -1.0);
+    for (int i = 0; i <= m_; ++i) basis_start_[static_cast<std::size_t>(i)] = i;
+    for (int i = 0; i < m_; ++i) basis_rows_[static_cast<std::size_t>(i)] = i;
+    lu_.set_options(options_.lu);
+    require(lu_.factorize(m_, basis_start_, basis_rows_, basis_values_),
+            "simplex: slack basis factorization");
     dense_active_ = false;
   } else {
     std::fill(binv_.begin(), binv_.end(), 0.0);
@@ -141,8 +145,9 @@ void simplex_solver::clamp_nonbasic_to_bounds() {
 }
 
 void simplex_solver::compute_basic_values() {
-  // Rows are homogeneous (A x - s = 0), so B x_B = -N x_N.
-  std::vector<double> rhs(m_, 0.0);
+  // Rows are homogeneous (A x - s = 0), so B x_B = -N x_N. The right-hand
+  // side is built in the all-zero row-space scratch, restored afterwards.
+  std::vector<double>& rhs = work_rhs_;
   for (int j = 0; j < total_columns(); ++j) {
     if (status_[j] == status::basic) continue;
     const double v = x_[j];
@@ -155,6 +160,7 @@ void simplex_solver::compute_basic_values() {
     }
   }
   base_ftran(rhs, work_pos_);
+  std::fill(rhs.begin(), rhs.end(), 0.0);
   apply_etas_ftran(work_pos_);
   for (int p = 0; p < m_; ++p) x_[basis_[p]] = work_pos_[p];
 }
@@ -173,28 +179,35 @@ bool simplex_solver::refactorize() {
 
 bool simplex_solver::build_base_inverse() {
   if (options_.engine == basis_engine::sparse_lu) {
-    std::vector<basis_lu::sparse_column> cols(static_cast<std::size_t>(m_));
+    // The basis in compressed columns, in a buffer kept for the solver's
+    // lifetime (as is lu_'s factorization workspace).
+    basis_start_.assign(1, 0);
+    basis_rows_.clear();
+    basis_values_.clear();
     for (int p = 0; p < m_; ++p) {
       const int col = basis_[p];
-      basis_lu::sparse_column& c = cols[static_cast<std::size_t>(p)];
+      const std::size_t col_begin = basis_rows_.size();
       if (col < n_) {
-        c.reserve(static_cast<std::size_t>(problem_.col_start[col + 1] -
-                                           problem_.col_start[col]));
         for (int k = problem_.col_start[col]; k < problem_.col_start[col + 1];
              ++k) {
           // Merge duplicate row entries (row indices ascend within a
           // column): basis_lu requires distinct rows per column.
-          if (!c.empty() && c.back().first == problem_.row_index[k])
-            c.back().second += problem_.value[k];
-          else
-            c.emplace_back(problem_.row_index[k], problem_.value[k]);
+          if (basis_rows_.size() > col_begin &&
+              basis_rows_.back() == problem_.row_index[k]) {
+            basis_values_.back() += problem_.value[k];
+          } else {
+            basis_rows_.push_back(problem_.row_index[k]);
+            basis_values_.push_back(problem_.value[k]);
+          }
         }
       } else {
-        c.emplace_back(col - n_, -1.0);
+        basis_rows_.push_back(col - n_);
+        basis_values_.push_back(-1.0);
       }
+      basis_start_.push_back(static_cast<int>(basis_rows_.size()));
     }
-    lu_ = basis_lu(options_.lu); // strict thresholds, even after a retry
-    if (lu_.factorize(m_, cols)) {
+    lu_.set_options(options_.lu); // strict thresholds, even after a retry
+    if (lu_.factorize(m_, basis_start_, basis_rows_, basis_values_)) {
       dense_active_ = false;
       ++stats_.lu_factorizations;
       return true;
@@ -205,9 +218,8 @@ bool simplex_solver::build_base_inverse() {
     lu_options relaxed = options_.lu;
     relaxed.suhl_threshold = 0.01;
     relaxed.pivot_tolerance = std::min(relaxed.pivot_tolerance, 1e-13);
-    basis_lu retry(relaxed);
-    if (retry.factorize(m_, cols)) {
-      lu_ = std::move(retry);
+    lu_.set_options(relaxed);
+    if (lu_.factorize(m_, basis_start_, basis_rows_, basis_values_)) {
       dense_active_ = false;
       ++stats_.lu_factorizations;
       return true;
@@ -459,7 +471,7 @@ void simplex_solver::record_basis_update(int leaving_pos, double pivot_element,
     // file (eta-on-LU) until the next refactorization.
     double* pivot_row = &binv_[static_cast<std::size_t>(leaving_pos) * m_];
     const double inv_pivot = 1.0 / pivot_element;
-    static thread_local std::vector<int> row_nonzeros;
+    std::vector<int>& row_nonzeros = work_nonzeros_;
     row_nonzeros.clear();
     for (int i = 0; i < m_; ++i) {
       pivot_row[i] *= inv_pivot;
@@ -911,14 +923,7 @@ simplex_solver::dual_outcome simplex_solver::dual_iterate() {
   // variable j moves by delta_j = -delta / alpha_j, so eligibility is the
   // sign pattern that moves x[leave_col] toward its bound while delta_j
   // respects j's own bound direction.
-  struct dual_candidate {
-    int col;
-    double alpha;
-    double d;   // signed reduced cost (for the incremental dual update)
-    double mag; // dual-feasibility slack of the reduced cost, clamped >= 0
-    double ratio;
-  };
-  static thread_local std::vector<dual_candidate> cands;
+  std::vector<dual_candidate>& cands = dual_candidates_;
   cands.clear();
   for (int j = 0; j < total_columns(); ++j) {
     const status s = status_[j];
@@ -966,7 +971,7 @@ simplex_solver::dual_outcome simplex_solver::dual_iterate() {
               return a.col < b.col;
             });
 
-  static thread_local std::vector<std::pair<int, double>> flips; // (col, move)
+  std::vector<std::pair<int, double>>& flips = dual_flips_;
   flips.clear();
   double delta_rem = delta;
   int chosen = -1;

@@ -174,6 +174,11 @@ private:
   // engine it flips to true for one refactorization cycle when the LU came
   // out singular but the dense inverse did not (numerical fallback).
   basis_lu lu_;
+  // The basis in compressed-column form, rebuilt in place for every sparse
+  // refactorization (lu_ likewise reuses its workspace).
+  std::vector<int> basis_start_;
+  std::vector<int> basis_rows_;
+  std::vector<double> basis_values_;
   std::vector<double> binv_;
   bool dense_active_ = false;
   struct eta_vector {
@@ -204,6 +209,18 @@ private:
   std::vector<double> work_rho_;  // pivot row e_r B^-1
   mutable std::vector<double> work_pos_; // position-space scratch (const helpers)
   mutable std::vector<double> work_rhs_; // row-space scratch, kept all-zero
+  std::vector<int> work_nonzeros_;       // pivot-row pattern (dense updates)
+  // Dual ratio test scratch: eligible entering candidates and the bound
+  // flips (column, move) taken before the entering one.
+  struct dual_candidate {
+    int col;
+    double alpha;
+    double d;   // signed reduced cost (for the incremental dual update)
+    double mag; // dual-feasibility slack of the reduced cost, clamped >= 0
+    double ratio;
+  };
+  std::vector<dual_candidate> dual_candidates_;
+  std::vector<std::pair<int, double>> dual_flips_;
 
   [[nodiscard]] int total_columns() const { return n_ + m_; }
 

@@ -810,6 +810,13 @@ solution solve(const model& m, const solver_options& options) {
 
   long simplex_iterations = 0;
   long dual_iterations = 0;
+  // Adds a simplex instance's engine counters to the solution totals; every
+  // instance is counted once, when it retires or at finish.
+  auto count_lp_stats = [&result](const simplex_stats& st) {
+    result.lu_factorizations += st.lu_factorizations;
+    result.primal_fallbacks += st.primal_fallbacks;
+    result.dense_fallbacks += st.dense_fallbacks;
+  };
   double root_lp_bound = inf; // min-form LP bound of the (cut) root
   bool root_solved = false;
 
@@ -817,7 +824,8 @@ solution solve(const model& m, const solver_options& options) {
   // Solve the root LP once, then separate Gomory + cover cuts in rounds,
   // each round rebuilding the simplex over the extended rows and
   // warm-restarting from the previous basis (the appended cut slacks enter
-  // basic, so the dual method re-solves in a handful of pivots).
+  // basic, so the dual method re-solves -- or falls back to the primal,
+  // which result.primal_fallbacks counts; see src/milp/README.md).
   std::optional<cut_generator> cutter;
   if (options.cuts && options.cut.max_rounds > 0 && !time_budget.expired()) {
     lp_result root = lp->solve(time_budget, /*warm_start=*/false);
@@ -843,6 +851,7 @@ solution solve(const model& m, const solver_options& options) {
           auto next_lp =
               std::make_unique<simplex_solver>(*next_problem, options.lp);
           next_lp->load_basis(basis, at_upper);
+          count_lp_stats(lp->stats());
           lp = std::move(next_lp);
           tree_problem = std::move(next_problem);
           const lp_result re = lp->solve(time_budget, /*warm_start=*/true);
@@ -930,6 +939,7 @@ solution solve(const model& m, const solver_options& options) {
   bool unbounded = false;
 
   auto finish = [&](bool tree_open, double open_bound) -> solution {
+    count_lp_stats(lp->stats());
     result.nodes_explored = nodes;
     result.simplex_iterations = simplex_iterations;
     result.dual_simplex_iterations = dual_iterations;
@@ -1009,6 +1019,7 @@ solution solve(const model& m, const solver_options& options) {
 
     const int width = std::max(1, options.deterministic_round_width);
     std::vector<worker_stats> wstats(static_cast<std::size_t>(threads));
+    std::vector<simplex_stats> worker_lp(static_cast<std::size_t>(threads));
 
     // Round batch, shared main -> workers through the generation handshake
     // below (mutex acquire/release on both sides orders every access).
@@ -1043,7 +1054,7 @@ solution solve(const model& m, const solver_options& options) {
           std::unique_lock<std::mutex> lock(mu);
           cv_start.wait(lock,
                         [&] { return shutdown || generation != seen_gen; });
-          if (shutdown) return;
+          if (shutdown) break;
           seen_gen = generation;
         }
         for (;;) {
@@ -1062,6 +1073,7 @@ solution solve(const model& m, const solver_options& options) {
           if (--unfinished == 0) cv_done.notify_one();
         }
       }
+      worker_lp[static_cast<std::size_t>(w)] = wlp.stats(); // read after join
     };
 
     std::vector<std::thread> team;
@@ -1225,6 +1237,7 @@ solution solve(const model& m, const solver_options& options) {
     cv_start.notify_all();
     for (std::thread& t : team) t.join();
 
+    for (const simplex_stats& st : worker_lp) count_lp_stats(st);
     result.workers = std::move(wstats);
     return finish(!open_bounds.empty(),
                   open_bounds.empty() ? inf : *open_bounds.begin());
@@ -1251,6 +1264,7 @@ solution solve(const model& m, const solver_options& options) {
     std::atomic<double> prune_obj{have_incumbent ? incumbent_obj : inf};
     std::atomic<long> probes_issued{0};
     std::vector<worker_stats> wstats(static_cast<std::size_t>(threads));
+    std::vector<simplex_stats> worker_lp(static_cast<std::size_t>(threads));
     stopwatch log_watch;
 
     {
@@ -1502,6 +1516,7 @@ solution solve(const model& m, const solver_options& options) {
         // Publish to the portfolio board outside the pool lock.
         if (!offer_vals.empty()) board->offer(offer_obj, std::move(offer_vals));
       }
+      worker_lp[static_cast<std::size_t>(w)] = wlp.stats(); // read after join
     };
 
     std::vector<std::thread> team;
@@ -1513,6 +1528,7 @@ solution solve(const model& m, const solver_options& options) {
       simplex_iterations += ws.simplex_iterations;
       dual_iterations += ws.dual_simplex_iterations;
     }
+    for (const simplex_stats& st : worker_lp) count_lp_stats(st);
     probes = probes_issued.load(std::memory_order_relaxed);
     result.workers = std::move(wstats);
     return finish(!pool_bounds.empty(),

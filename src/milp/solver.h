@@ -207,6 +207,11 @@ struct solution {
   long simplex_iterations = 0;       // total, including probes and cut rounds
   long dual_simplex_iterations = 0;  // subset taken by the dual method
   long strong_branch_probes = 0;     // reliability-initialization re-solves
+  // LP-engine counters (simplex_stats) summed over every simplex instance
+  // the solve used: the root, each cut-round rebuild, and the tree workers.
+  long lu_factorizations = 0; // successful sparse LU factorizations
+  long primal_fallbacks = 0;  // dual re-solves that fell back to the primal
+  long dense_fallbacks = 0;   // singular LUs repaired by the dense engine
   // Presolve + cutting-plane footprint of the root (all zero when the
   // respective options are off).
   int presolve_rows_removed = 0;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 
@@ -485,9 +486,10 @@ TEST(Simplex, DualWarmStartMatchesPrimalOnRandomBoundedLps) {
     const lp_result expected = reference.solve(no_limit, false);
 
     ASSERT_EQ(resolved.status, expected.status) << "seed " << seed;
-    if (expected.status == lp_status::optimal)
+    if (expected.status == lp_status::optimal) {
       EXPECT_NEAR(resolved.objective, expected.objective, 1e-5)
           << "seed " << seed;
+    }
   }
   // The sweep must actually exercise the dual path, not just fall back.
   EXPECT_GT(dual_solves_seen, 10);
@@ -883,6 +885,154 @@ TEST(BasisLu, DeterministicFactorization) {
   a.btran(rhs, xa);
   b.btran(rhs, xb);
   EXPECT_EQ(xa, xb);
+}
+
+namespace {
+
+/// Random basis that fills in under elimination: column p has a dominant
+/// diagonal entry (20 or -20) plus up to four off-diagonal entries in
+/// [-4, 4] on random rows, so it is strictly column diagonally dominant
+/// (hence nonsingular) while the off-diagonal pattern forces Markowitz
+/// into fill -- rows outgrow their arena slices and get relocated.
+std::vector<basis_lu::sparse_column> random_fill_basis(std::uint64_t seed,
+                                                       int m) {
+  prng r(seed);
+  std::vector<basis_lu::sparse_column> cols(static_cast<std::size_t>(m));
+  for (int p = 0; p < m; ++p) {
+    basis_lu::sparse_column& c = cols[static_cast<std::size_t>(p)];
+    c.emplace_back(p, r.bernoulli(0.5) ? 20.0 : -20.0);
+    const int extras = static_cast<int>(r.uniform_int(0, 4));
+    for (int e = 0; e < extras; ++e) {
+      const int row = static_cast<int>(r.uniform_int(0, m - 1));
+      const double v = static_cast<double>(r.uniform_int(-4, 4));
+      bool dup = false;
+      for (const auto& [i, x] : c) dup = dup || i == row;
+      if (!dup && v != 0.0) c.emplace_back(row, v);
+    }
+  }
+  return cols;
+}
+
+/// Bitwise equality of two solve outputs (EXPECT_EQ on doubles would
+/// accept +0.0 == -0.0).
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+} // namespace
+
+TEST(BasisLu, ReusedWorkspaceIsBitIdenticalToFresh) {
+  // One basis_lu factorizes a larger basis, then a singular one (failing
+  // part-way through the elimination), then B: its factors and solves must
+  // be bitwise those of a fresh instance on B.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const int m = 60 + static_cast<int>(seed) * 7;
+    const auto larger = random_fill_basis(seed + 100, 3 * m);
+    auto singular = random_fill_basis(seed + 200, 2 * m);
+    // The last column repeats the first two's sum: only the elimination
+    // can find the dependence.
+    basis_lu::sparse_column sum = singular[0];
+    for (const auto& [i, v] : singular[1]) {
+      bool merged = false;
+      for (auto& [j, w] : sum)
+        if (j == i) {
+          w += v;
+          merged = true;
+        }
+      if (!merged) sum.emplace_back(i, v);
+    }
+    singular.back() = sum;
+    const auto b = random_fill_basis(seed, m);
+
+    basis_lu reused;
+    ASSERT_TRUE(reused.factorize(3 * m, larger)) << "seed " << seed;
+    EXPECT_FALSE(reused.factorize(2 * m, singular)) << "seed " << seed;
+    EXPECT_FALSE(reused.valid());
+    ASSERT_TRUE(reused.factorize(m, b)) << "seed " << seed;
+    basis_lu fresh;
+    ASSERT_TRUE(fresh.factorize(m, b)) << "seed " << seed;
+    // The compressed-column entry point runs the same elimination.
+    std::vector<int> start{0}, rows;
+    std::vector<double> values;
+    for (const auto& c : b) {
+      for (const auto& [i, v] : c) {
+        rows.push_back(i);
+        values.push_back(v);
+      }
+      start.push_back(static_cast<int>(rows.size()));
+    }
+    basis_lu csc;
+    ASSERT_TRUE(csc.factorize(m, start, rows, values));
+
+    EXPECT_GT(fresh.factor_nonzeros(), values.size()) << "no fill-in";
+    EXPECT_EQ(reused.factor_nonzeros(), fresh.factor_nonzeros());
+    EXPECT_EQ(csc.factor_nonzeros(), fresh.factor_nonzeros());
+    prng r(seed * 31 + 5);
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> rhs(static_cast<std::size_t>(m));
+      for (double& v : rhs) v = r.uniform_real(-10.0, 10.0);
+      std::vector<double> want, got;
+      fresh.ftran(rhs, want);
+      reused.ftran(rhs, got);
+      EXPECT_TRUE(bitwise_equal(got, want)) << "ftran seed " << seed;
+      csc.ftran(rhs, got);
+      EXPECT_TRUE(bitwise_equal(got, want)) << "csc ftran seed " << seed;
+      fresh.btran(rhs, want);
+      reused.btran(rhs, got);
+      EXPECT_TRUE(bitwise_equal(got, want)) << "btran seed " << seed;
+      csc.btran(rhs, got);
+      EXPECT_TRUE(bitwise_equal(got, want)) << "csc btran seed " << seed;
+    }
+  }
+}
+
+TEST(Simplex, ReusedSolverMatchesFreshSolverWithSameBasis) {
+  // A solver that has refactorized many times (tiny refactor interval)
+  // takes branching-style bound changes and reloads its basis; a fresh
+  // solver over the tightened problem loads the same basis. Both re-solves
+  // must take the same path to the same bits.
+  const deadline no_limit(0.0);
+  for (const std::uint64_t seed : {5u, 23u, 41u}) {
+    const lp_problem p = random_bounded_lp(seed, 60, 40);
+    simplex_options o;
+    o.refactor_interval = 4;
+    simplex_solver reused(p, o);
+    const lp_result root = reused.solve(no_limit, /*warm_start=*/false);
+    ASSERT_EQ(root.status, lp_status::optimal) << "seed " << seed;
+    EXPECT_GT(reused.stats().lu_factorizations, 5) << "seed " << seed;
+
+    const std::vector<int> basis = reused.basic_columns();
+    std::vector<int> at_upper;
+    for (int j = 0; j < p.num_vars + p.num_rows; ++j)
+      if (reused.column_at_upper(j)) at_upper.push_back(j);
+    int tightened = 0;
+    for (int var = 0; var < p.num_vars && tightened < 3; ++var) {
+      const double at = root.x[static_cast<std::size_t>(var)];
+      if (at <= reused.variable_lower(var) + 0.5) continue;
+      reused.set_variable_bounds(var, reused.variable_lower(var),
+                                 std::ceil(at) - 1.0);
+      ++tightened;
+    }
+    ASSERT_GT(tightened, 0) << "seed " << seed;
+    lp_problem tightened_problem = p;
+    for (int j = 0; j < p.num_vars; ++j) {
+      tightened_problem.lower[j] = reused.variable_lower(j);
+      tightened_problem.upper[j] = reused.variable_upper(j);
+    }
+    simplex_solver fresh(tightened_problem, o);
+
+    ASSERT_TRUE(reused.load_basis(basis, at_upper)) << "seed " << seed;
+    ASSERT_TRUE(fresh.load_basis(basis, at_upper)) << "seed " << seed;
+    const lp_result a = reused.solve(no_limit, /*warm_start=*/true);
+    const lp_result b = fresh.solve(no_limit, /*warm_start=*/true);
+    ASSERT_EQ(a.status, b.status) << "seed " << seed;
+    EXPECT_EQ(a.iterations, b.iterations) << "seed " << seed;
+    EXPECT_EQ(a.dual_iterations, b.dual_iterations) << "seed " << seed;
+    EXPECT_TRUE(std::memcmp(&a.objective, &b.objective, sizeof(double)) == 0)
+        << "seed " << seed << ": " << a.objective << " vs " << b.objective;
+    EXPECT_TRUE(bitwise_equal(a.x, b.x)) << "seed " << seed;
+  }
 }
 
 // ----------------------------------- differential LP harness (both engines)
@@ -1523,10 +1673,11 @@ TEST(Milp, NodeRulesAgreeOnTheOptimum) {
     const solution a = solve(m, dfs);
     const solution b = solve(m, best);
     ASSERT_EQ(a.status, b.status) << "seed " << seed;
-    if (a.status == solve_status::optimal)
+    if (a.status == solve_status::optimal) {
       EXPECT_NEAR(a.objective, b.objective,
                   1e-6 * std::max(1.0, std::abs(a.objective)))
           << "seed " << seed;
+    }
   }
 }
 

@@ -69,6 +69,11 @@ void expect_bit_identical(const assay::sequencing_graph& graph, int devices) {
   ASSERT_EQ(ref.status, milp::solve_status::optimal);
   EXPECT_EQ(ref.threads_used, 1);
   EXPECT_EQ(worker_node_sum(ref), ref.nodes_explored);
+  // The LP-engine counters include the workers' simplex instances: each
+  // LP-solved node reloads its parent basis (one factorization), and on
+  // these trees that alone outnumbers the nodes the root solver could
+  // account for.
+  EXPECT_GE(ref.lu_factorizations, ref.nodes_explored);
 
   for (int threads : {2, 8}) {
     const milp::solution sol =
@@ -82,6 +87,9 @@ void expect_bit_identical(const assay::sequencing_graph& graph, int devices) {
     EXPECT_EQ(sol.simplex_iterations, ref.simplex_iterations);
     EXPECT_EQ(sol.dual_simplex_iterations, ref.dual_simplex_iterations);
     EXPECT_EQ(sol.strong_branch_probes, ref.strong_branch_probes);
+    EXPECT_EQ(sol.lu_factorizations, ref.lu_factorizations);
+    EXPECT_EQ(sol.primal_fallbacks, ref.primal_fallbacks);
+    EXPECT_EQ(sol.dense_fallbacks, ref.dense_fallbacks);
     EXPECT_EQ(sol.objective, ref.objective);
     EXPECT_EQ(sol.best_bound, ref.best_bound);
     ASSERT_EQ(sol.values.size(), ref.values.size());
