@@ -15,6 +15,10 @@
 // finally admits CPA (~8.2k rows), RA70 (~9.3k) and RA100 (~18k).
 //
 // --smoke is the CI configuration: small assays plus CPA, 1 s per solve.
+// Two records ignore --seconds and run to a fixed amount of work (their
+// counters are gated by diff_bench.py's work_gate rule): CPA root_phase
+// (max_nodes=1, the root phase alone) and RA12 warm_meta_fixed (the
+// deterministic engine at threads=1 proving the SA-warmed optimum).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -33,8 +37,8 @@ namespace {
 
 using namespace transtore;
 
-/// The solution's LP-engine counters as record fields (informational: no
-/// gate reads them).
+/// The solution's LP-engine counters as record fields (diff_bench.py gates
+/// lu_factorizations on work_gate records only).
 void add_lp_counters(bench::bench_record& r, const milp::solution& sol) {
   r.extras.emplace_back("lu_factorizations",
                         static_cast<double>(sol.lu_factorizations));
@@ -53,6 +57,26 @@ std::string status_name(milp::solve_status s) {
     case milp::solve_status::no_solution: return "no_solution";
   }
   return "unknown";
+}
+
+/// The record fields every single-solve configuration shares.
+bench::bench_record solution_record(const std::string& assay,
+                                    const char* config,
+                                    const milp::solution& sol, double seconds,
+                                    const milp::model& model) {
+  bench::bench_record r;
+  r.assay = assay;
+  r.config = config;
+  r.seconds = seconds;
+  r.nodes = sol.nodes_explored;
+  r.simplex_iterations = sol.simplex_iterations;
+  r.dual_iterations = sol.dual_simplex_iterations;
+  r.strong_branch_probes = sol.strong_branch_probes;
+  r.objective = sol.objective;
+  r.status = status_name(sol.status);
+  r.variables = model.variable_count();
+  r.constraints = model.constraint_count();
+  return r;
 }
 
 std::vector<std::string> split_csv(const std::string& csv) {
@@ -226,18 +250,8 @@ int main(int argc, char** argv) {
       const double elapsed = watch.elapsed_seconds();
       sols[s] = sol;
 
-      bench::bench_record r;
-      r.assay = name;
-      r.config = specs[s].label;
-      r.seconds = elapsed;
-      r.nodes = sol.nodes_explored;
-      r.simplex_iterations = sol.simplex_iterations;
-      r.dual_iterations = sol.dual_simplex_iterations;
-      r.strong_branch_probes = sol.strong_branch_probes;
-      r.objective = sol.objective;
-      r.status = status_name(sol.status);
-      r.variables = ilp.model.variable_count();
-      r.constraints = rows;
+      bench::bench_record r =
+          solution_record(name, specs[s].label, sol, elapsed, ilp.model);
       if (sol.presolve_rows_removed > 0 || sol.cuts_added > 0)
         r.extras = {{"presolve_rows_removed",
                      static_cast<double>(sol.presolve_rows_removed)},
@@ -283,13 +297,13 @@ int main(int argc, char** argv) {
     // under 1.0 means the tighter primal bound pruned the tree (the
     // warm_start_objective extras show the incumbent-quality gap that
     // bought it).
+    sched::sa_scheduler_options sa;
+    sa.device_count = devices;
+    sa.iterations = 6000;
+    sa.seed = 1;
+    sa.start = warm;
+    const sched::schedule annealed = sched::schedule_with_sa(graph, sa);
     {
-      sched::sa_scheduler_options sa;
-      sa.device_count = devices;
-      sa.iterations = 6000;
-      sa.seed = 1;
-      sa.start = warm;
-      const sched::schedule annealed = sched::schedule_with_sa(graph, sa);
       milp::solver_options o = specs[0].options; // lu defaults + time limit
       std::vector<double> incumbent = sched::schedule_assignment(ilp, annealed);
       if (auto polished = sched::polish_assignment(ilp, incumbent, seconds))
@@ -299,18 +313,8 @@ int main(int argc, char** argv) {
       const milp::solution sol = milp::solve(ilp.model, o);
       const double elapsed = watch.elapsed_seconds();
 
-      bench::bench_record r;
-      r.assay = name;
-      r.config = "warm_meta";
-      r.seconds = elapsed;
-      r.nodes = sol.nodes_explored;
-      r.simplex_iterations = sol.simplex_iterations;
-      r.dual_iterations = sol.dual_simplex_iterations;
-      r.strong_branch_probes = sol.strong_branch_probes;
-      r.objective = sol.objective;
-      r.status = status_name(sol.status);
-      r.variables = ilp.model.variable_count();
-      r.constraints = rows;
+      bench::bench_record r =
+          solution_record(name, "warm_meta", sol, elapsed, ilp.model);
       r.extras = {
           {"warm_start_objective", sol.warm_start_objective},
           {"warm_start_accepted", sol.warm_start_accepted ? 1.0 : 0.0},
@@ -390,6 +394,48 @@ int main(int argc, char** argv) {
                       sols[s].objective);
         }
       }
+    }
+
+    // Fixed-work records: no time limit, so iterations, nodes and LU
+    // factorizations are a pure function of the binary and diff_bench gates
+    // them (work_gate) whatever the status. CPA root_phase stops after the
+    // root (presolve, cold LP, cut rounds, probes); RA12 warm_meta_fixed
+    // proves the SA-warmed optimum with the deterministic engine.
+    auto fixed_work = [&](const char* label, milp::solver_options o) {
+      o.time_limit_seconds = 0.0;
+      o.threads = 1;
+      stopwatch watch;
+      const milp::solution sol = milp::solve(ilp.model, o);
+      const double elapsed = watch.elapsed_seconds();
+      bench::bench_record r =
+          solution_record(name, label, sol, elapsed, ilp.model);
+      r.extras = {{"work_gate", 1.0},
+                  {"root_bound", sol.root_bound},
+                  {"cuts_added", static_cast<double>(sol.cuts_added)},
+                  {"warm_start_objective", sol.warm_start_objective}};
+      add_lp_counters(r, sol);
+      records.push_back(r);
+      std::printf("%-7s %-12s %10d %8ld %10ld %10ld %8ld %12.3f %.3fs (%s, "
+                  "root bound %.3f, lu %ld)\n",
+                  name.c_str(), label, rows, sol.nodes_explored,
+                  sol.simplex_iterations, sol.dual_simplex_iterations,
+                  sol.strong_branch_probes, sol.objective, elapsed,
+                  status_name(sol.status).c_str(), sol.root_bound,
+                  sol.lu_factorizations);
+    };
+    if (name == "CPA") {
+      milp::solver_options o = lu_defaults;
+      o.warm_start = ilp.warm_assignment;
+      o.max_nodes = 1;
+      fixed_work("root_phase", o);
+    }
+    if (name == "RA12") {
+      milp::solver_options o = threads1;
+      std::vector<double> incumbent = sched::schedule_assignment(ilp, annealed);
+      if (auto polished = sched::polish_assignment(ilp, incumbent, 0.0))
+        incumbent = std::move(*polished);
+      o.warm_start = std::move(incumbent);
+      fixed_work("warm_meta_fixed", o);
     }
 
     // Cross-engine agreement: every pair of configurations that both proved

@@ -21,7 +21,13 @@ work: the new objective may not exceed the baseline objective by more than
 --max-objective-ratio (the engines are deterministic in their seed, so the
 small tolerance only absorbs intentional engine retunes pending a baseline
 refresh), while wall time stays collapse-only like every other noisy-CI
-quantity. Node-throughput records (baseline
+quantity. Fixed-work records (any baseline record carrying "work_gate",
+as written by bench_milp's root_phase and warm_meta_fixed configs) run
+without a time limit, so their work is deterministic whatever their
+status: simplex_iterations, nodes and lu_factorizations may not exceed the
+baseline by more than --max-iter-ratio, root_bound must be equal, the
+status may not degrade, and wall time is collapse-only. Node-throughput
+records (baseline
 records carrying "nodes_per_sec", as written by bench_milp's
 threads1/threads4/threads8 and portfolio configs) are gated the same
 collapse-only way: CI machines have arbitrary core counts, so the scaling
@@ -58,13 +64,52 @@ def load(path, role="new"):
     return {(r["assay"], r["config"]): r for r in doc.get("results", [])}
 
 
+def status_failures(name, b, n):
+    """A proven optimum must stay proven at the same objective; any other
+    baseline status only requires that the run still has an incumbent."""
+    if b.get("status") == "optimal":
+        if n.get("status") != "optimal":
+            return [f"{name}: no longer proven optimal "
+                    f"(status {n.get('status')})"]
+        if abs(n["objective"] - b["objective"]) > 1e-6 * max(
+                1.0, abs(b["objective"])):
+            return [f"{name}: optimal objective changed "
+                    f"{b['objective']} -> {n['objective']}"]
+    elif n.get("status") in ("infeasible", "unbounded", "no_solution"):
+        return [f"{name}: status degraded to {n.get('status')} "
+                f"(baseline {b.get('status')})"]
+    return []
+
+
+def time_failures(name, b, n, args):
+    """Collapse-only wall-time rule, skipped below --min-time-floor."""
+    bt, nt = b.get("seconds", 0.0), n.get("seconds", 0.0)
+    if bt >= args.min_time_floor and nt > args.max_time_ratio * bt:
+        return [f"{name}: time regressed {bt:.3f}s -> {nt:.3f}s "
+                f"(> {args.max_time_ratio:.1f}x)"]
+    return []
+
+
+def work_failures(name, b, n, fields, args):
+    """Deterministic work counters may grow by --max-iter-ratio at most."""
+    out = []
+    for field in fields:
+        if b.get(field, 0) > 0 and \
+                n.get(field, 0) > args.max_iter_ratio * b[field]:
+            out.append(f"{name}: {field} regressed "
+                       f"{b[field]} -> {n.get(field, 0)} "
+                       f"(> {args.max_iter_ratio:.2f}x)")
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("new_path")
     ap.add_argument("baseline_path")
     ap.add_argument("--max-iter-ratio", type=float, default=1.25,
                     help="allowed growth of iterations/nodes on "
-                         "proven-optimal records (default 1.25)")
+                         "proven-optimal and work_gate records "
+                         "(default 1.25)")
     ap.add_argument("--max-time-ratio", type=float, default=4.0,
                     help="allowed wall-time growth on proven-optimal "
                          "records (default 4.0)")
@@ -86,6 +131,7 @@ def main():
         if n is None:
             failures.append(f"{assay}/{config}: record missing from new run")
             continue
+        name = f"{assay}/{config}"
         if b.get("objective_gate", 0.0) > 0.0:
             # Scheduling-frontier record: solution quality must not regress
             # (deterministic engines -- the ratio only absorbs intentional
@@ -93,15 +139,24 @@ def main():
             bo, no = b.get("objective", 0.0), n.get("objective", 0.0)
             if bo > 0.0 and no > args.max_objective_ratio * bo:
                 failures.append(
-                    f"{assay}/{config}: objective regressed "
-                    f"{bo:.3f} -> {no:.3f} "
+                    f"{name}: objective regressed {bo:.3f} -> {no:.3f} "
                     f"(> {args.max_objective_ratio:.2f}x)")
-            bt, nt = b.get("seconds", 0.0), n.get("seconds", 0.0)
-            if bt >= args.min_time_floor and nt > args.max_time_ratio * bt:
+            failures += time_failures(name, b, n, args)
+            continue
+        if b.get("work_gate", 0.0) > 0.0:
+            # Fixed-work record: no time limit, so the solver's work is a
+            # deterministic function of the binary even when the run stops
+            # short of a proof (a node limit).
+            failures += work_failures(
+                name, b, n,
+                ("simplex_iterations", "nodes", "lu_factorizations"), args)
+            if abs(n.get("root_bound", 0.0) - b.get("root_bound", 0.0)) > \
+                    1e-6 * max(1.0, abs(b.get("root_bound", 0.0))):
                 failures.append(
-                    f"{assay}/{config}: time regressed "
-                    f"{bt:.3f}s -> {nt:.3f}s "
-                    f"(> {args.max_time_ratio:.1f}x)")
+                    f"{name}: root_bound changed "
+                    f"{b.get('root_bound')} -> {n.get('root_bound')}")
+            failures += status_failures(name, b, n)
+            failures += time_failures(name, b, n, args)
             continue
         if b.get("requests_per_sec", 0.0) > 0.0:
             # Serving-throughput baseline: the rate may wobble with CI
@@ -109,7 +164,7 @@ def main():
             br, nr = b["requests_per_sec"], n.get("requests_per_sec", 0.0)
             if nr < br / args.max_time_ratio:
                 failures.append(
-                    f"{assay}/{config}: throughput regressed "
+                    f"{name}: throughput regressed "
                     f"{br:.1f} -> {nr:.1f} req/s "
                     f"(> {args.max_time_ratio:.1f}x slower)")
             continue
@@ -123,53 +178,19 @@ def main():
             br, nr = b["nodes_per_sec"], n.get("nodes_per_sec", 0.0)
             if nr < br / args.max_time_ratio:
                 failures.append(
-                    f"{assay}/{config}: node throughput regressed "
+                    f"{name}: node throughput regressed "
                     f"{br:.1f} -> {nr:.1f} nodes/s "
                     f"(> {args.max_time_ratio:.1f}x slower)")
-            if b.get("status") == "optimal":
-                if n.get("status") != "optimal":
-                    failures.append(
-                        f"{assay}/{config}: no longer proven optimal "
-                        f"(status {n.get('status')})")
-                elif abs(n["objective"] - b["objective"]) > 1e-6 * max(
-                        1.0, abs(b["objective"])):
-                    failures.append(
-                        f"{assay}/{config}: optimal objective changed "
-                        f"{b['objective']} -> {n['objective']}")
-            elif n.get("status") in ("infeasible", "unbounded",
-                                     "no_solution"):
-                failures.append(
-                    f"{assay}/{config}: status degraded to "
-                    f"{n.get('status')} (baseline {b.get('status')})")
+            failures += status_failures(name, b, n)
             continue
-        if b.get("status") != "optimal":
-            # Time-limited baseline: just require an incumbent-bearing run.
-            if n.get("status") in ("infeasible", "unbounded", "no_solution"):
-                failures.append(
-                    f"{assay}/{config}: status degraded to {n.get('status')}"
-                    f" (baseline {b.get('status')})")
+        # Time-limited baselines only require an incumbent-bearing run;
+        # proven-optimal ones also gate their (deterministic) work.
+        failures += status_failures(name, b, n)
+        if b.get("status") != "optimal" or n.get("status") != "optimal":
             continue
-        if n.get("status") != "optimal":
-            failures.append(
-                f"{assay}/{config}: no longer proven optimal "
-                f"(status {n.get('status')})")
-            continue
-        if abs(n["objective"] - b["objective"]) > 1e-6 * max(
-                1.0, abs(b["objective"])):
-            failures.append(
-                f"{assay}/{config}: optimal objective changed "
-                f"{b['objective']} -> {n['objective']}")
-        for field in ("simplex_iterations", "nodes"):
-            if b.get(field, 0) > 0 and n.get(field, 0) > args.max_iter_ratio * b[field]:
-                failures.append(
-                    f"{assay}/{config}: {field} regressed "
-                    f"{b[field]} -> {n[field]} "
-                    f"(> {args.max_iter_ratio:.2f}x)")
-        bt, nt = b.get("seconds", 0.0), n.get("seconds", 0.0)
-        if bt >= args.min_time_floor and nt > args.max_time_ratio * bt:
-            failures.append(
-                f"{assay}/{config}: time regressed {bt:.3f}s -> {nt:.3f}s "
-                f"(> {args.max_time_ratio:.1f}x)")
+        failures += work_failures(name, b, n, ("simplex_iterations", "nodes"),
+                                  args)
+        failures += time_failures(name, b, n, args)
 
     for key in sorted(new.keys() - base.keys()):
         print(f"diff_bench: note: new record {key[0]}/{key[1]} "

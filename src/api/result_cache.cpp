@@ -151,7 +151,8 @@ result_cache::entry_ptr result_cache::lookup(const cache_key& key) {
   }
   // Disk probe outside the lock: deserialization is the expensive part and
   // concurrent probes for different keys should not serialize.
-  entry_ptr from_disk = disk_lookup(key);
+  entry_ptr from_disk =
+      options_.disk_dir.empty() ? nullptr : disk_lookup(key);
   std::lock_guard<std::mutex> guard(lock_);
   ++stats_.lookups;
   if (!from_disk) {
@@ -166,13 +167,15 @@ result_cache::entry_ptr result_cache::lookup(const cache_key& key) {
 result_cache::flight result_cache::lookup_or_lead(
     const cache_key& key, entry_ptr& out,
     const std::function<bool()>& give_up) {
+  // As in lookup(), each outcome is counted together with its lookup under
+  // one lock; a bypass counts as a miss (the caller solves uncached).
   {
     std::unique_lock<std::mutex> guard(lock_);
-    ++stats_.lookups;
     bool waited = false;
     for (;;) {
       const auto it = index_.find(key.canonical);
       if (it != index_.end() && it->second->identity == key.identity) {
+        ++stats_.lookups;
         ++stats_.memory_hits;
         if (waited) ++stats_.coalesced_hits; // rode a leader's solve
         touch(it->second);
@@ -187,24 +190,29 @@ result_cache::flight result_cache::lookup_or_lead(
       // and a leader that died without abort_flight cannot park us forever.
       flight_done_.wait_for(guard, std::chrono::milliseconds(50));
       waited = true;
-      if (give_up && give_up()) return flight::bypass;
+      if (give_up && give_up()) {
+        ++stats_.lookups;
+        ++stats_.misses;
+        return flight::bypass;
+      }
     }
   }
-  // Leader path: probe the disk tier before conceding a miss.
-  if (!options_.disk_dir.empty()) {
-    if (entry_ptr from_disk = disk_lookup(key)) {
-      std::lock_guard<std::mutex> guard(lock_);
-      ++stats_.disk_hits;
-      insert_locked(key, from_disk);
-      inflight_.erase(key.canonical);
-      flight_done_.notify_all();
-      out = std::move(from_disk);
-      return flight::hit;
-    }
-  }
+  // Leader path: probe the disk tier (outside the lock) before conceding a
+  // miss.
+  entry_ptr from_disk =
+      options_.disk_dir.empty() ? nullptr : disk_lookup(key);
   std::lock_guard<std::mutex> guard(lock_);
-  ++stats_.misses;
-  return flight::leader;
+  ++stats_.lookups;
+  if (!from_disk) {
+    ++stats_.misses;
+    return flight::leader;
+  }
+  ++stats_.disk_hits;
+  insert_locked(key, from_disk);
+  inflight_.erase(key.canonical);
+  flight_done_.notify_all();
+  out = std::move(from_disk);
+  return flight::hit;
 }
 
 void result_cache::store(const cache_key& key, entry e) {

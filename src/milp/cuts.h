@@ -20,10 +20,11 @@
 // extended lp_problem, and ages/purges pooled cuts whose slack went idle.
 // The caller (solver.cpp) rebuilds the simplex over `current()` and warm
 // starts via load_basis -- the previous basis plus the new cut slacks is
-// dual feasible, so each round re-solves with the dual simplex. That is not
-// always cheap: on CPA (3 devices) the one round's re-solve stalls after
-// about 400 dual pivots and falls back to about 25.8k primal pivots; see
-// solution::primal_fallbacks and the cut-loop notes in src/milp/README.md.
+// dual feasible, so each round re-solves with the dual simplex. When that
+// stalls (on CPA with 3 devices, after 401 degenerate dual pivots), the
+// primal restarts from the loaded basis, where only the cut slacks are
+// infeasible, and finishes in 128 pivots; see solution::primal_fallbacks
+// and the cut-loop notes in src/milp/README.md.
 #pragma once
 
 #include <vector>

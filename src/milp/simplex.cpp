@@ -42,6 +42,8 @@ simplex_solver::simplex_solver(const lp_problem& problem,
   basis_.assign(m_, -1);
   basic_position_.assign(total_columns(), -1);
   status_.assign(total_columns(), status::at_lower);
+  entry_basis_.assign(m_, -1);
+  entry_status_.assign(total_columns(), status::at_lower);
   x_.assign(total_columns(), 0.0);
   dense_active_ = options_.engine == basis_engine::dense;
   // The O(m^2) dense inverse is what caps the dense engine at ~2500 rows;
@@ -305,34 +307,39 @@ bool simplex_solver::load_basis(const std::vector<int>& basic_columns,
                                 const std::vector<int>& at_upper_columns) {
   require(static_cast<int>(basic_columns.size()) == m_,
           "simplex: load_basis needs one column per row");
-  std::fill(basic_position_.begin(), basic_position_.end(), -1);
+  std::fill(status_.begin(), status_.end(), status::at_lower);
   for (int p = 0; p < m_; ++p) {
     const int col = basic_columns[static_cast<std::size_t>(p)];
     require(col >= 0 && col < total_columns(),
             "simplex: load_basis column out of range");
-    require(basic_position_[col] < 0, "simplex: load_basis repeats a column");
+    require(status_[col] != status::basic,
+            "simplex: load_basis repeats a column");
     basis_[p] = col;
-    basic_position_[col] = p;
+    status_[col] = status::basic;
   }
-  for (int j = 0; j < total_columns(); ++j)
-    status_[j] = basic_position_[j] >= 0 ? status::basic : status::at_lower;
   for (const int col : at_upper_columns) {
     require(col >= 0 && col < total_columns(),
             "simplex: load_basis at-upper column out of range");
     if (status_[col] != status::basic && upper_[col] != inf)
       status_[col] = status::at_upper;
   }
-  clamp_nonbasic_to_bounds();
-  reset_devex();
-  candidates_.clear();
-  pricing_cursor_ = 0;
-  basis_valid_ = true;
-  if (refactorize()) return true;
+  if (install_basis()) return true;
   // Singular under every engine: repair to the slack basis so the solver
   // stays usable, and report the rejection.
   reset_to_slack_basis();
   compute_basic_values();
   return false;
+}
+
+bool simplex_solver::install_basis() {
+  std::fill(basic_position_.begin(), basic_position_.end(), -1);
+  for (int p = 0; p < m_; ++p) basic_position_[basis_[p]] = p;
+  clamp_nonbasic_to_bounds();
+  reset_devex();
+  candidates_.clear();
+  pricing_cursor_ = 0;
+  basis_valid_ = true;
+  return refactorize();
 }
 
 // ----------------------------------------------------- basis inverse algebra
@@ -1134,9 +1141,15 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
     }
   };
 
-  // A warm-started basis after branching keeps its reduced costs, so when
-  // primal feasibility broke but dual feasibility survived, the dual
-  // simplex re-solves in a handful of pivots.
+  // A warm-started basis after branching (or after appending cut rows)
+  // keeps its reduced costs, so when primal feasibility broke but dual
+  // feasibility survived, the dual simplex re-solves it -- usually in a
+  // handful of pivots. The entry basis is kept: if the dual stalls on a
+  // degenerate plateau or keeps aborting, the primal restarts from it,
+  // where only the few rows the bound change or the cuts touched are
+  // infeasible, instead of from wherever the dual stopped (on CPA's cut
+  // round the primal needs 128 pivots from the entry basis and ~25.8k from
+  // the basis 401 stalled dual pivots reached; see src/milp/README.md).
   if (options_.allow_dual && warmed && state == mode::phase1) {
     for (int p = 0; p < m_; ++p)
       work_cost_[p] = column_cost_phase2(basis_[p]);
@@ -1145,6 +1158,8 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
       state = mode::dual_method;
       result.used_dual = true;
       ++stats_.dual_solves;
+      std::copy(basis_.begin(), basis_.end(), entry_basis_.begin());
+      std::copy(status_.begin(), status_.end(), entry_status_.begin());
       // Seed the incrementally maintained duals with the vector just
       // computed for the feasibility check.
       dual_y_ = work_row_;
@@ -1152,8 +1167,16 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
     }
   }
 
-  auto leave_dual = [&](bool count_fallback) {
-    if (count_fallback) ++stats_.primal_fallbacks;
+  auto leave_dual = [&]() {
+    ++stats_.primal_fallbacks;
+    std::copy(entry_basis_.begin(), entry_basis_.end(), basis_.begin());
+    std::copy(entry_status_.begin(), entry_status_.end(), status_.begin());
+    pivots_since_refactor = 0;
+    if (!install_basis()) {
+      state = mode::phase1; // counted once above, not again by the repair
+      repair_basis();
+      return;
+    }
     state = basic_feasible() ? mode::phase2 : mode::phase1;
   };
 
@@ -1204,7 +1227,7 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
       if (out.aborted) {
         if (refactorize()) {
           pivots_since_refactor = 0;
-          if (++dual_aborts > 2) leave_dual(/*count_fallback=*/true);
+          if (++dual_aborts > 2) leave_dual();
         } else {
           repair_basis();
         }
@@ -1212,9 +1235,9 @@ lp_result simplex_solver::solve(const deadline& time_budget, bool warm_start,
       }
       ++pivots_since_refactor;
       maybe_refactor();
+      if (state != mode::dual_method) continue; // repaired to the slack basis
       if (out.step <= 1e-11) {
-        if (++dual_stall > options_.degenerate_switch)
-          leave_dual(/*count_fallback=*/true); // primal Bland breaks the tie
+        if (++dual_stall > options_.degenerate_switch) leave_dual();
       } else {
         dual_stall = 0;
       }

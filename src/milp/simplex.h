@@ -22,7 +22,8 @@
 //
 // solve() picks the method automatically: a warm-started basis that lost
 // primal feasibility (branching) but kept dual feasibility re-solves with
-// the dual method; everything else goes through the primal path. All
+// the dual method (and, should the dual stall, restarts the primal from
+// that warm basis); everything else goes through the primal path. All
 // tie-breaking is by lowest index and all decisions are seed/time
 // independent, so repeated solves are bit-identical.
 #pragma once
@@ -162,6 +163,11 @@ private:
   std::vector<status> status_;      // size n_+m_
   std::vector<double> x_;           // size n_+m_: current values
   bool basis_valid_ = false;
+  // The basis a warm solve entered the dual method from (sized once, copied
+  // in place per warm solve): a dual re-solve that stalls or keeps aborting
+  // restarts the primal from here rather than from where the dual stopped.
+  std::vector<int> entry_basis_;     // size m_
+  std::vector<status> entry_status_; // size n_+m_
   long total_iterations_ = 0;
   simplex_stats stats_;
 
@@ -225,6 +231,11 @@ private:
   [[nodiscard]] int total_columns() const { return n_ + m_; }
 
   void reset_to_slack_basis();
+  /// Makes basis_ (one column per position) with the nonbasic parking in
+  /// status_ the current basis: rebuilds basic_position_, clamps nonbasic
+  /// columns to their bounds, resets pricing and refactorizes. false when
+  /// the basis is singular; the caller then repairs to the slack basis.
+  [[nodiscard]] bool install_basis();
   void clamp_nonbasic_to_bounds();
   void compute_basic_values();
   /// Rebuilds the basis factorization from the current basis; false when

@@ -824,8 +824,9 @@ solution solve(const model& m, const solver_options& options) {
   // Solve the root LP once, then separate Gomory + cover cuts in rounds,
   // each round rebuilding the simplex over the extended rows and
   // warm-restarting from the previous basis (the appended cut slacks enter
-  // basic, so the dual method re-solves -- or falls back to the primal,
-  // which result.primal_fallbacks counts; see src/milp/README.md).
+  // basic, so the dual method re-solves; if it stalls, the primal restarts
+  // from that warm basis, which result.primal_fallbacks counts; see
+  // src/milp/README.md).
   std::optional<cut_generator> cutter;
   if (options.cuts && options.cut.max_rounds > 0 && !time_budget.expired()) {
     lp_result root = lp->solve(time_budget, /*warm_start=*/false);

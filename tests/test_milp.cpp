@@ -401,8 +401,13 @@ TEST(Milp, GapIsZeroWhenOptimal) {
 namespace {
 
 /// Random bounded LP in computational form: all variables boxed, rows
-/// `lo <= a'x <= hi` with x = 0 feasible. Deterministic in `seed`.
-lp_problem random_bounded_lp(std::uint64_t seed, int nvars, int nrows) {
+/// `lo <= a'x <= hi` with x = 0 feasible. Deterministic in `seed`. A
+/// `cost_density` below 1 zeroes most costs (a dual-degenerate LP: many
+/// reduced costs stay 0); `row_density` is each coefficient's chance of
+/// being present.
+lp_problem random_bounded_lp(std::uint64_t seed, int nvars, int nrows,
+                             double cost_density = 1.0,
+                             double row_density = 0.5) {
   prng r(seed);
   lp_problem p;
   p.num_vars = nvars;
@@ -411,7 +416,9 @@ lp_problem random_bounded_lp(std::uint64_t seed, int nvars, int nrows) {
   p.lower.assign(nvars, 0.0);
   p.upper.resize(nvars);
   for (int j = 0; j < nvars; ++j) {
-    p.cost[j] = static_cast<double>(r.uniform_int(-10, 10));
+    p.cost[j] = cost_density >= 1.0 || r.bernoulli(cost_density)
+                    ? static_cast<double>(r.uniform_int(-10, 10))
+                    : 0.0;
     p.upper[j] = static_cast<double>(r.uniform_int(1, 12));
   }
   // Build CSC column by column.
@@ -420,7 +427,7 @@ lp_problem random_bounded_lp(std::uint64_t seed, int nvars, int nrows) {
   for (int i = 0; i < nrows; ++i) {
     bool any = false;
     for (int j = 0; j < nvars; ++j) {
-      if (!r.bernoulli(0.5)) continue;
+      if (!r.bernoulli(row_density)) continue;
       const double coeff = static_cast<double>(r.uniform_int(-5, 5));
       if (coeff == 0.0) continue;
       cols[j].emplace_back(i, coeff);
@@ -552,6 +559,77 @@ TEST(Simplex, DualDetectsInfeasibleBoundChange) {
   solver.set_variable_bounds(0, 0.0, 1.0);
   solver.set_variable_bounds(1, 0.0, 1.0);
   EXPECT_EQ(solver.solve(no_limit, true).status, lp_status::infeasible);
+}
+
+TEST(Simplex, StalledDualResolveRestartsFromItsEntryBasis) {
+  // A dual-degenerate LP (90% zero costs) branched below three fractional
+  // values: the warm dual re-solve takes dual-degenerate pivots, and with
+  // degenerate_switch = 20 it gives up on the dual after a short run. The
+  // primal must then restart from the basis the solve was warm-started
+  // from, where only the branched variables are infeasible, not from the
+  // basis the dual stalled in.
+  const deadline no_limit(0.0);
+  const int nvars = 120;
+  const int nrows = 80;
+  const lp_problem p = random_bounded_lp(1, nvars, nrows, 0.1, 0.3);
+  simplex_options stall_early;
+  stall_early.degenerate_switch = 20;
+
+  simplex_solver warm(p, stall_early);
+  const lp_result root = warm.solve(no_limit, /*warm_start=*/false);
+  ASSERT_EQ(root.status, lp_status::optimal);
+  lp_problem branched = p;
+  int tightened = 0;
+  for (int j = 0; j < nvars && tightened < 3; ++j) {
+    const double at = root.x[static_cast<std::size_t>(j)];
+    if (at <= p.lower[static_cast<std::size_t>(j)] + 0.5) continue;
+    branched.upper[static_cast<std::size_t>(j)] = std::ceil(at) - 1.0;
+    warm.set_variable_bounds(j, branched.lower[static_cast<std::size_t>(j)],
+                             branched.upper[static_cast<std::size_t>(j)]);
+    ++tightened;
+  }
+  ASSERT_EQ(tightened, 3);
+  const long fallbacks_before = warm.stats().primal_fallbacks;
+  const lp_result restarted = warm.solve(no_limit, /*warm_start=*/true);
+  ASSERT_EQ(restarted.status, lp_status::optimal);
+  ASSERT_TRUE(restarted.used_dual);
+  EXPECT_EQ(warm.stats().primal_fallbacks - fallbacks_before, 1);
+
+  simplex_solver cold(branched, simplex_options{});
+  const lp_result reference = cold.solve(no_limit, /*warm_start=*/false);
+  ASSERT_EQ(reference.status, lp_status::optimal);
+  EXPECT_NEAR(restarted.objective, reference.objective, 1e-6);
+
+  // The stalled basis: the same dual pivots (the dual ratio test ignores
+  // degenerate_switch), stopped by the iteration limit where the first
+  // solver gave up on the dual.
+  simplex_solver replay(p, simplex_options{});
+  ASSERT_EQ(replay.solve(no_limit, false).status, lp_status::optimal);
+  for (int j = 0; j < nvars; ++j)
+    replay.set_variable_bounds(j, branched.lower[static_cast<std::size_t>(j)],
+                               branched.upper[static_cast<std::size_t>(j)]);
+  const lp_result to_stall =
+      replay.solve(no_limit, /*warm_start=*/true, restarted.dual_iterations);
+  ASSERT_EQ(to_stall.status, lp_status::iteration_limit);
+  ASSERT_EQ(to_stall.dual_iterations, restarted.dual_iterations);
+  std::vector<int> at_upper;
+  for (int c = 0; c < nvars + nrows; ++c)
+    if (!replay.column_is_basic(c) && replay.column_at_upper(c))
+      at_upper.push_back(c);
+
+  // A primal-only solver forced to continue from the stalled basis.
+  simplex_options primal_only = stall_early;
+  primal_only.allow_dual = false;
+  simplex_solver stalled(branched, primal_only);
+  ASSERT_TRUE(stalled.load_basis(replay.basic_columns(), at_upper));
+  const lp_result continued = stalled.solve(no_limit, /*warm_start=*/true);
+  ASSERT_EQ(continued.status, lp_status::optimal);
+  EXPECT_NEAR(continued.objective, reference.objective, 1e-6);
+  // Here continuing costs ~9x the restart; the factor 2 keeps pricing
+  // details (the restart and load_basis both reset devex weights) from
+  // deciding the comparison.
+  EXPECT_LT(2 * restarted.iterations,
+            to_stall.iterations + continued.iterations);
 }
 
 TEST(Simplex, RepeatedSolvesAreBitIdentical) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -536,6 +537,76 @@ TEST(ResultCache, StatsSnapshotIsConsistentUnderConcurrentTraffic) {
   EXPECT_EQ(s.lookups, s.memory_hits + s.disk_hits + s.misses);
   EXPECT_LE(s.entries, 8u);
   EXPECT_GT(s.bytes_evicted, 0u);
+}
+
+TEST(ResultCache, SingleFlightStatsStayConsistentUnderConcurrentTraffic) {
+  // lookup_or_lead under contention: leaders probe a disk tier outside the
+  // lock, then store or abort; patient callers coalesce onto them; one
+  // impatient caller gives up (bypass) whenever it has to wait. Every
+  // snapshot must still satisfy lookups == memory_hits + disk_hits +
+  // misses, and every call must be counted exactly once.
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "transtore_cache_flight")
+          .string();
+  std::filesystem::remove_all(dir);
+  api::result_cache cache(api::result_cache_options{8, dir});
+  using flight = api::result_cache::flight;
+
+  std::atomic<bool> stop{false};
+  std::thread snapshotter([&] {
+    while (!stop.load()) {
+      const api::cache_stats s = cache.stats();
+      EXPECT_EQ(s.lookups, s.memory_hits + s.disk_hits + s.misses);
+    }
+  });
+
+  // One bypass for certain: a waiter that gives up on a parked leader.
+  const api::cache_key parked = key_for_seed(499);
+  api::result_cache::entry_ptr out;
+  ASSERT_EQ(cache.lookup_or_lead(parked, out, {}), flight::leader);
+  std::thread impatient([&] {
+    api::result_cache::entry_ptr mine;
+    EXPECT_EQ(cache.lookup_or_lead(parked, mine, [] { return true; }),
+              flight::bypass);
+  });
+  impatient.join();
+  cache.store(parked, dummy_entry("parked"));
+
+  constexpr int clients = 4;
+  constexpr int keys = 24;
+  std::atomic<int> bypasses{1};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < clients; ++c)
+    threads.emplace_back([&, c] {
+      const bool gives_up = c == clients - 1;
+      for (int i = 0; i < keys; ++i) {
+        const api::cache_key k = key_for_seed(static_cast<std::uint64_t>(500 + i));
+        api::result_cache::entry_ptr got;
+        switch (cache.lookup_or_lead(k, got, [gives_up] { return gives_up; })) {
+          case flight::leader:
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            if (i % 5 == 0)
+              cache.abort_flight(k); // the next waiter takes over
+            else
+              cache.store(k, dummy_entry("doc-" + std::to_string(i)));
+            break;
+          case flight::bypass:
+            ++bypasses;
+            break;
+          case flight::hit:
+            break;
+        }
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  stop.store(true);
+  snapshotter.join();
+
+  const api::cache_stats s = cache.stats();
+  EXPECT_EQ(s.lookups, static_cast<std::uint64_t>(2 + clients * keys));
+  EXPECT_EQ(s.lookups, s.memory_hits + s.disk_hits + s.misses);
+  EXPECT_GE(s.misses, static_cast<std::uint64_t>(bypasses.load()));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ResultCache, DiskTierSurvivesProcessBoundary) {
