@@ -151,8 +151,7 @@ result_cache::entry_ptr result_cache::lookup(const cache_key& key) {
   }
   // Disk probe outside the lock: deserialization is the expensive part and
   // concurrent probes for different keys should not serialize.
-  entry_ptr from_disk =
-      options_.disk_dir.empty() ? nullptr : disk_lookup(key);
+  entry_ptr from_disk = disk_lookup(key);
   std::lock_guard<std::mutex> guard(lock_);
   ++stats_.lookups;
   if (!from_disk) {

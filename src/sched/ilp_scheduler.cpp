@@ -574,8 +574,8 @@ ilp_schedule_result schedule_with_ilp(const assay::sequencing_graph& graph,
 
   // Re-time the warm incumbent optimally within its own binding before the
   // tree search sees it: heuristic schedules carry conservative simulated
-  // timing, and the LP-polished point prunes measurably deeper (RA12 closes
-  // in ~0.6x the nodes). Bounded by a slice of the solve budget; on any
+  // timing, so the LP-polished point is often a strictly better incumbent
+  // for the same binding. Bounded by a slice of the solve budget; on any
   // failure the raw assignment stands.
   if (ilp.warm_assignment) {
     const double slice =

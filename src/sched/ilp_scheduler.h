@@ -149,10 +149,11 @@ struct scheduling_ilp {
 /// remaining LP over the continuous times. Heuristic schedules carry the
 /// conservative simulated timing, so the polished assignment is often a
 /// strictly better MILP incumbent for the same discrete decisions (on RA12
-/// it tightens the list-schedule warm start from 279 to 246 and closes the
-/// tree in ~0.6x the nodes). Returns nullopt when the restricted solve
-/// fails inside `time_limit_seconds` or the polished point does not verify
-/// against the full model; callers then keep the raw assignment.
+/// it tightens the list-schedule warm start from 279 to 246; the tree size
+/// that follows depends on the root vertex, so no node ratio is promised).
+/// Returns nullopt when the restricted solve fails inside
+/// `time_limit_seconds` or the polished point does not verify against the
+/// full model; callers then keep the raw assignment.
 [[nodiscard]] std::optional<std::vector<double>> polish_assignment(
     const scheduling_ilp& ilp, const std::vector<double>& assignment,
     double time_limit_seconds = 2.0, cancel_token cancel = {});

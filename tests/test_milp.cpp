@@ -578,6 +578,7 @@ TEST(Simplex, StalledDualResolveRestartsFromItsEntryBasis) {
   simplex_solver warm(p, stall_early);
   const lp_result root = warm.solve(no_limit, /*warm_start=*/false);
   ASSERT_EQ(root.status, lp_status::optimal);
+  const std::vector<int> root_basis = warm.basic_columns();
   lp_problem branched = p;
   int tightened = 0;
   for (int j = 0; j < nvars && tightened < 3; ++j) {
@@ -600,18 +601,23 @@ TEST(Simplex, StalledDualResolveRestartsFromItsEntryBasis) {
   ASSERT_EQ(reference.status, lp_status::optimal);
   EXPECT_NEAR(restarted.objective, reference.objective, 1e-6);
 
-  // The stalled basis: the same dual pivots (the dual ratio test ignores
-  // degenerate_switch), stopped by the iteration limit where the first
-  // solver gave up on the dual.
-  simplex_solver replay(p, simplex_options{});
+  // The stalled basis: a second solver with the same options and history
+  // takes the same pivots bit for bit (same root basis, same dual
+  // pivots), stopped by the iteration limit one dual pivot before the
+  // first solver gave up on the dual -- deep in the degenerate run, where
+  // it has not yet left the dual.
+  simplex_solver replay(p, stall_early);
   ASSERT_EQ(replay.solve(no_limit, false).status, lp_status::optimal);
+  ASSERT_EQ(replay.basic_columns(), root_basis);
   for (int j = 0; j < nvars; ++j)
     replay.set_variable_bounds(j, branched.lower[static_cast<std::size_t>(j)],
                                branched.upper[static_cast<std::size_t>(j)]);
+  const long stall_at = restarted.dual_iterations - 1;
   const lp_result to_stall =
-      replay.solve(no_limit, /*warm_start=*/true, restarted.dual_iterations);
+      replay.solve(no_limit, /*warm_start=*/true, stall_at);
   ASSERT_EQ(to_stall.status, lp_status::iteration_limit);
-  ASSERT_EQ(to_stall.dual_iterations, restarted.dual_iterations);
+  ASSERT_EQ(to_stall.dual_iterations, stall_at);
+  ASSERT_EQ(replay.stats().primal_fallbacks, 0);
   std::vector<int> at_upper;
   for (int c = 0; c < nvars + nrows; ++c)
     if (!replay.column_is_basic(c) && replay.column_at_upper(c))
@@ -625,7 +631,7 @@ TEST(Simplex, StalledDualResolveRestartsFromItsEntryBasis) {
   const lp_result continued = stalled.solve(no_limit, /*warm_start=*/true);
   ASSERT_EQ(continued.status, lp_status::optimal);
   EXPECT_NEAR(continued.objective, reference.objective, 1e-6);
-  // Here continuing costs ~9x the restart; the factor 2 keeps pricing
+  // Here continuing costs ~7x the restart; the factor 2 keeps pricing
   // details (the restart and load_basis both reset devex weights) from
   // deciding the comparison.
   EXPECT_LT(2 * restarted.iterations,
