@@ -15,10 +15,12 @@
 // finally admits CPA (~8.2k rows), RA70 (~9.3k) and RA100 (~18k).
 //
 // --smoke is the CI configuration: small assays plus CPA, 1 s per solve.
-// Two records ignore --seconds and run to a fixed amount of work (their
+// Three records ignore --seconds and run to a fixed amount of work (their
 // counters are gated by diff_bench.py's work_gate rule): CPA root_phase
-// (max_nodes=1, the root phase alone) and RA12 warm_meta_fixed (the
-// deterministic engine at threads=1 proving the SA-warmed optimum).
+// (max_nodes=1, the root phase alone), RA12 seq_fixed (the default
+// single-threaded tree proving the list-warmed optimum) and RA12
+// warm_meta_fixed (the deterministic engine at threads=1 proving the
+// SA-warmed optimum).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -399,8 +401,9 @@ int main(int argc, char** argv) {
     // Fixed-work records: no time limit, so iterations, nodes and LU
     // factorizations are a pure function of the binary and diff_bench gates
     // them (work_gate) whatever the status. CPA root_phase stops after the
-    // root (presolve, cold LP, cut rounds, probes); RA12 warm_meta_fixed
-    // proves the SA-warmed optimum with the deterministic engine.
+    // root (presolve, cold LP, cut rounds, probes); RA12 seq_fixed proves
+    // the list-warmed optimum with the default single-threaded tree, and
+    // RA12 warm_meta_fixed the SA-warmed one with the deterministic engine.
     auto fixed_work = [&](const char* label, milp::solver_options o) {
       o.time_limit_seconds = 0.0;
       o.threads = 1;
@@ -428,6 +431,11 @@ int main(int argc, char** argv) {
       o.warm_start = ilp.warm_assignment;
       o.max_nodes = 1;
       fixed_work("root_phase", o);
+    }
+    if (name == "RA12") {
+      milp::solver_options o = lu_defaults;
+      o.warm_start = ilp.warm_assignment;
+      fixed_work("seq_fixed", o);
     }
     if (name == "RA12") {
       milp::solver_options o = threads1;
