@@ -32,7 +32,10 @@ records carrying "nodes_per_sec", as written by bench_milp's
 threads1/threads4/threads8 and portfolio configs) are gated the same
 collapse-only way: CI machines have arbitrary core counts, so the scaling
 RATIO between thread configs is not gated here, only that per-config
-throughput does not collapse.
+throughput does not collapse. Like wall time, node throughput is not
+compared when the baseline solve took less than --min-time-floor (a
+1-node, 1 ms solve times thread start-up, not the search); such records
+keep only the status/objective checks.
 
 Exit codes: 0 ok, 1 regression(s), 2 usage/IO error, 3 baseline file
 missing (a distinct code so CI can tell "needs a baseline refresh" apart
@@ -174,9 +177,11 @@ def main():
             # so inter-config scaling ratios are not gated), plus the
             # status/objective agreement checks. Node/iteration counts are
             # NOT gated here -- the portfolio's split of work between racers
-            # is timing-dependent.
+            # is timing-dependent. Below --min-time-floor only the
+            # status/objective checks apply, as in time_failures.
             br, nr = b["nodes_per_sec"], n.get("nodes_per_sec", 0.0)
-            if nr < br / args.max_time_ratio:
+            if b.get("seconds", 0.0) >= args.min_time_floor and \
+                    nr < br / args.max_time_ratio:
                 failures.append(
                     f"{name}: node throughput regressed "
                     f"{br:.1f} -> {nr:.1f} nodes/s "

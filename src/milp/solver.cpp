@@ -198,9 +198,10 @@ struct bb_node {
   /// branch's own expected degradation plus the cheapest rounding of every
   /// other fractional variable at the parent.
   double estimate = -inf;
-  /// Parent basis for cross-worker warm starts (parallel engines; null in
-  /// the sequential engine, which relies on its one solver's continuity,
-  /// and for the root before any LP was solved). Siblings share the one
+  /// Parent basis for cross-worker warm starts: the round engine reloads it
+  /// for every node, the pool engine only for a node another worker
+  /// produced (a worker's own nodes continue from its current basis). Null
+  /// for the root before any LP was solved. Siblings share the one
   /// immutable snapshot.
   std::shared_ptr<const basis_snapshot> warm;
   /// Worker that created this node (-1 for the root); a worker pulling a
@@ -556,8 +557,13 @@ node_result process_node(const tree_context& ctx, simplex_solver& lp,
   // before the probes below disturb it.
   out.basis = capture_basis(lp, n);
 
-  // Reliability probes (the sequential engine's logic, worker-local): the
-  // candidate order and skip rule mirror solve()'s inline loop.
+  // Reliability initialization: before trusting pseudocosts, seed them
+  // with limited strong-branching probes -- warm dual re-solves with a
+  // tight iteration cap -- on the most fractional candidates whose
+  // pseudocosts are still unreliable. An infeasible probe direction prunes
+  // that child at commit; it holds only under this node's bounds, so it is
+  // not recorded as a pseudocost, and iteration/time-limited probes carry
+  // no trustworthy bound at all.
   if (options.branching == branch_rule::pseudocost && options.reliability > 0 &&
       probe_allowance > 0) {
     std::vector<std::pair<double, int>> order = out.fractional;
@@ -640,18 +646,10 @@ branch_output commit_branch(const tree_context& ctx, const bb_node& node,
                             long& next_node_id) {
   const solver_options& options = ctx.options;
 
-  // Probe observations first, then the parent's own pseudocost record --
-  // the same order as the sequential engine (probes are recorded as they
-  // run, the parent after the branch-variable pick; both precede the
-  // children's estimates).
+  // Probe observations first (in the order the probes ran), then the
+  // branch-variable pick, then the parent's own pseudocost record; both
+  // records precede the children's estimates.
   for (const probe_record& p : nr.probe_records) pc.record(p.var, p.up, p.cost);
-  if (!node.changes.empty()) {
-    const bound_change& last = node.changes.back();
-    const double degradation = nr.bound - node.parent_bound;
-    if (node.parent_bound != -inf && degradation >= 0.0)
-      pc.record(last.var, last.lower > ctx.root_lower[last.var],
-                degradation / std::max(node.branch_distance, 1e-6));
-  }
 
   int branch_var = -1;
   std::size_t branch_idx = 0;
@@ -677,6 +675,16 @@ branch_output commit_branch(const tree_context& ctx, const bb_node& node,
     branch_frac = nr.x[branch_var];
   } else {
     nr.down_infeasible = nr.up_infeasible = false;
+  }
+
+  // The parent's degradation per unit of fractional distance, the unit of
+  // the probe records.
+  if (!node.changes.empty()) {
+    const bound_change& last = node.changes.back();
+    const double degradation = nr.bound - node.parent_bound;
+    if (node.parent_bound != -inf && degradation >= 0.0)
+      pc.record(last.var, last.lower > ctx.root_lower[last.var],
+                degradation / std::max(node.branch_distance, 1e-6));
   }
 
   const double floor_val = std::floor(branch_frac);
@@ -893,7 +901,6 @@ solution solve(const model& m, const solver_options& options) {
   // feasibility re-validation -- wherever this solve polls it.
   incumbent_board* board =
       options.deterministic ? nullptr : options.shared_incumbent.get();
-  std::uint64_t board_seen = 0;
 
   auto try_incumbent = [&](std::vector<double> candidate) {
     for (int j = 0; j < n; ++j)
@@ -933,7 +940,7 @@ solution solve(const model& m, const solver_options& options) {
   if (options.node_propagation)
     tree_rows.emplace(tree_problem ? *tree_problem : sf.lp);
 
-  // Outcome state shared by the three tree engines and the result tail.
+  // Outcome state shared by the two tree engines and the result tail.
   long nodes = 0;
   long probes = 0;
   bool hit_limit = false;
@@ -981,8 +988,8 @@ solution solve(const model& m, const solver_options& options) {
   // ------------------------------------------------------ engine dispatch
   // threads <= 0 resolves to the hardware; deterministic always takes the
   // round engine (its trajectory must not depend on the thread count, so
-  // even threads == 1 runs it); otherwise threads > 1 takes the
-  // opportunistic pool engine and threads == 1 the classic sequential loop.
+  // even threads == 1 runs it); otherwise the opportunistic pool engine
+  // runs `threads` workers, one of them on the calling thread.
   int threads = options.threads;
   if (threads <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -1099,7 +1106,7 @@ solution solve(const model& m, const solver_options& options) {
 
       // Deterministic selection: dfs keeps LIFO order (newest id first);
       // best_estimate alternates estimate-first rounds with periodic
-      // best-bound rounds, mirroring the sequential hybrid backtracking at
+      // best-bound rounds, mirroring the pool engine's hybrid backtracking at
       // round granularity.
       ++round;
       bool by_bound = false;
@@ -1173,7 +1180,7 @@ solution solve(const model& m, const solver_options& options) {
         if (nr.kind == node_kind::time_limit) {
           // Unresolved: keep its bound entry so the dual bound stays
           // conservative, and unwind (determinism is void once a limit
-          // fires mid-search, the sequential engine's caveat too).
+          // fires mid-search).
           hit_limit = true;
           stop = true;
           continue;
@@ -1244,323 +1251,47 @@ solution solve(const model& m, const solver_options& options) {
                   open_bounds.empty() ? inf : *open_bounds.begin());
   }
 
-  if (threads > 1) {
-    // -------------------------------------------- opportunistic pool engine
-    // A shared open pool under one mutex. Each worker dives on its own
-    // preferred child without touching the pool (warm basis kept hot, the
-    // sequential plunge); a finished dive pulls the best pool node by the
-    // node rule -- pulling a node another worker produced counts as a
-    // steal -- and re-solves it from the node's recorded parent basis.
-    // `pool_bounds` holds one entry per open OR in-flight node (erased at
-    // commit), so the global dual bound and the gap test stay conservative
-    // while nodes are being processed.
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<bb_node> pool;
-    std::multiset<double> pool_bounds;
-    long next_node_id = 0;
-    long backtracks = 0;
-    int active = 0;
-    bool stop = false;
-    std::atomic<double> prune_obj{have_incumbent ? incumbent_obj : inf};
-    std::atomic<long> probes_issued{0};
-    std::vector<worker_stats> wstats(static_cast<std::size_t>(threads));
-    std::vector<simplex_stats> worker_lp(static_cast<std::size_t>(threads));
-    stopwatch log_watch;
-
-    {
-      bb_node root_node;
-      root_node.id = next_node_id++;
-      root_node.warm = root_solved ? capture_basis(*lp, n) : nullptr;
-      pool.push_back(std::move(root_node));
-      pool_bounds.insert(-inf);
-    }
-
-    // Callers hold mu.
-    auto pool_gap_closed = [&]() {
-      if (!have_incumbent) return false;
-      const double bound = pool_bounds.empty() ? inf : *pool_bounds.begin();
-      if (bound == inf) return true;
-      const double denom = std::max(1.0, std::abs(incumbent_obj));
-      return (incumbent_obj - bound) / denom <= options.relative_gap ||
-             incumbent_obj - bound <= options.absolute_gap;
-    };
-    auto select_pool = [&]() -> bb_node {
-      std::size_t pick = pool.size() - 1; // dfs: LIFO
-      if (options.node_selection == node_rule::best_estimate) {
-        ++backtracks;
-        const bool by_bound = options.backtrack_interval > 0 &&
-                              backtracks % options.backtrack_interval == 0;
-        const bool by_estimate = !by_bound && backtracks % 2 == 0;
-        if (by_bound || by_estimate) {
-          pick = 0;
-          for (std::size_t i = 1; i < pool.size(); ++i) {
-            const bb_node& a = pool[i];
-            const bb_node& b = pool[pick];
-            bool better;
-            if (by_bound) {
-              better = a.parent_bound != b.parent_bound
-                           ? a.parent_bound < b.parent_bound
-                           : (a.estimate != b.estimate
-                                  ? a.estimate < b.estimate
-                                  : a.id < b.id);
-            } else {
-              better = a.estimate != b.estimate
-                           ? a.estimate < b.estimate
-                           : (a.parent_bound != b.parent_bound
-                                  ? a.parent_bound < b.parent_bound
-                                  : a.id < b.id);
-            }
-            if (better) pick = i;
-          }
-        }
-      }
-      bb_node node = std::move(pool[pick]);
-      pool[pick] = std::move(pool.back());
-      pool.pop_back();
-      return node;
-    };
-
-    auto worker = [&](int w) {
-      simplex_solver wlp(tree_lp_problem, options.lp);
-      std::vector<double> wl, wu;
-      std::optional<bb_node> hand;
-      // True while this worker owns an in-flight node (processing it or
-      // holding the dive continuation in `hand`); `active` sums these, so
-      // pool-empty + active == 0 really means the tree is exhausted.
-      bool counted = false;
-      std::uint64_t seen = 0; // per-worker board stamp
-      worker_stats& ws = wstats[static_cast<std::size_t>(w)];
-
-      // Only the ≤ strong_branch_candidates probe-candidate counts are
-      // snapshotted under the lock (the full table would be a large copy
-      // per node).
-      auto pc_counts = [&](const std::vector<int>& vars,
-                           std::vector<std::pair<long, long>>& out) {
-        out.resize(vars.size());
-        std::lock_guard<std::mutex> lock(mu);
-        for (std::size_t i = 0; i < vars.size(); ++i)
-          out[i] = {pseudocosts.up_count[vars[i]],
-                    pseudocosts.down_count[vars[i]]};
-      };
-
-      for (;;) {
-        if (board) {
-          double bobj = 0.0;
-          std::vector<double> bvals;
-          if (board->fetch(seen, bobj, bvals)) {
-            // Re-validate outside the lock, adopt under it.
-            for (int j = 0; j < n; ++j)
-              if (sf.is_integer[j]) bvals[j] = std::round(bvals[j]);
-            if (m.is_feasible(bvals, 1e-5)) {
-              const double min_obj =
-                  sf.objective_sign *
-                  (m.evaluate_objective(bvals) - sf.objective_constant);
-              std::lock_guard<std::mutex> lock(mu);
-              if (!have_incumbent ||
-                  min_obj < incumbent_obj - options.absolute_gap) {
-                have_incumbent = true;
-                incumbent_obj = min_obj;
-                incumbent_values = std::move(bvals);
-                prune_obj.store(min_obj, std::memory_order_relaxed);
-              }
-            }
-          }
-        }
-
-        bb_node node;
-        bool reload = true;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          if (!stop && (nodes >= options.max_nodes || time_budget.expired())) {
-            hit_limit = true;
-            stop = true;
-          }
-          if (stop) {
-            if (counted) --active;
-            cv.notify_all();
-            break;
-          }
-          if (hand) {
-            node = std::move(*hand);
-            hand.reset();
-            reload = false; // dive on: still counted, basis still hot
-          } else {
-            cv.wait(lock,
-                    [&] { return stop || !pool.empty() || active == 0; });
-            if (stop || pool.empty()) { // stop, or exhausted (active == 0)
-              cv.notify_all();
-              break;
-            }
-            node = select_pool();
-            if (node.producer >= 0 && node.producer != w) ++ws.steals;
-            ++active;
-            counted = true;
-          }
-        }
-
-        long allowance = 0;
-        if (options.branching == branch_rule::pseudocost &&
-            options.reliability > 0) {
-          const long issued = probes_issued.load(std::memory_order_relaxed);
-          if (issued < options.strong_branch_limit)
-            allowance = options.strong_branch_limit - issued;
-        }
-        node_result nr = process_node(
-            ctx, wlp, node, reload, prune_obj.load(std::memory_order_relaxed),
-            allowance, pc_counts, wl, wu);
-        if (nr.probes_run > 0)
-          probes_issued.fetch_add(nr.probes_run, std::memory_order_relaxed);
-        ws.simplex_iterations += nr.iterations;
-        ws.dual_simplex_iterations += nr.dual_iterations;
-
-        double offer_obj = 0.0;
-        std::vector<double> offer_vals;
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          pool_bounds.erase(pool_bounds.find(node.parent_bound));
-          if (!root_solved && node.id == 0 && nr.bound != -inf) {
-            root_lp_bound = nr.bound;
-            root_solved = true;
-          }
-          switch (nr.kind) {
-            case node_kind::skipped:
-              break; // not counted, matching the sequential engine
-            case node_kind::time_limit:
-              ++nodes;
-              ++ws.nodes;
-              hit_limit = true;
-              stop = true;
-              break;
-            case node_kind::unbounded:
-              ++nodes;
-              ++ws.nodes;
-              unbounded = true;
-              stop = true;
-              break;
-            case node_kind::dropped:
-              ++nodes;
-              ++ws.nodes;
-              log_at(log_level::warn,
-                     "milp: dropped node after iteration limit");
-              break;
-            case node_kind::prop_pruned:
-            case node_kind::bound_pruned:
-            case node_kind::lp_infeasible:
-              ++nodes;
-              ++ws.nodes;
-              break;
-            case node_kind::integral:
-              ++nodes;
-              ++ws.nodes;
-              if (nr.candidate_feasible &&
-                  (!have_incumbent ||
-                   nr.candidate_obj < incumbent_obj - options.absolute_gap)) {
-                have_incumbent = true;
-                incumbent_obj = nr.candidate_obj;
-                incumbent_values = nr.candidate;
-                prune_obj.store(incumbent_obj, std::memory_order_relaxed);
-                if (board) {
-                  offer_obj = sf.objective_sign * incumbent_obj +
-                              sf.objective_constant;
-                  offer_vals = std::move(nr.candidate);
-                }
-                if (options.log_progress)
-                  log_at(log_level::info, "milp: incumbent ",
-                         sf.objective_sign * incumbent_obj +
-                             sf.objective_constant,
-                         " at node ", nodes);
-              }
-              break;
-            case node_kind::branched: {
-              ++nodes;
-              ++ws.nodes;
-              if (have_incumbent &&
-                  nr.bound >= incumbent_obj - options.absolute_gap)
-                break; // raced: the incumbent improved during the LP solve
-              branch_output br =
-                  commit_branch(ctx, node, nr, pseudocosts, next_node_id);
-              br.down.producer = w;
-              br.up.producer = w;
-              if (!br.down_infeasible) pool_bounds.insert(nr.bound);
-              if (!br.up_infeasible) pool_bounds.insert(nr.bound);
-              bb_node& preferred = br.down_preferred ? br.down : br.up;
-              bb_node& sibling = br.down_preferred ? br.up : br.down;
-              const bool preferred_pruned = br.down_preferred
-                                                ? br.down_infeasible
-                                                : br.up_infeasible;
-              const bool sibling_pruned = br.down_preferred
-                                              ? br.up_infeasible
-                                              : br.down_infeasible;
-              if (!sibling_pruned) pool.push_back(std::move(sibling));
-              if (!preferred_pruned) hand = std::move(preferred);
-              break;
-            }
-          }
-          if (!hand) {
-            --active;
-            counted = false;
-          }
-          if (pool_gap_closed()) stop = true;
-          if (options.log_progress && log_watch.elapsed_seconds() > 2.0) {
-            log_watch.reset();
-            log_at(log_level::info, "milp: nodes=", nodes,
-                   " open=", pool.size(), " incumbent=",
-                   have_incumbent
-                       ? std::to_string(sf.objective_sign * incumbent_obj +
-                                        sf.objective_constant)
-                       : std::string("none"));
-          }
-          cv.notify_all();
-          if (stop) break;
-        }
-        // Publish to the portfolio board outside the pool lock.
-        if (!offer_vals.empty()) board->offer(offer_obj, std::move(offer_vals));
-      }
-      worker_lp[static_cast<std::size_t>(w)] = wlp.stats(); // read after join
-    };
-
-    std::vector<std::thread> team;
-    team.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) team.emplace_back(worker, w);
-    for (std::thread& t : team) t.join();
-
-    for (const worker_stats& ws : wstats) {
-      simplex_iterations += ws.simplex_iterations;
-      dual_iterations += ws.dual_simplex_iterations;
-    }
-    for (const simplex_stats& st : worker_lp) count_lp_stats(st);
-    probes = probes_issued.load(std::memory_order_relaxed);
-    result.workers = std::move(wstats);
-    return finish(!pool_bounds.empty(),
-                  pool_bounds.empty() ? inf : *pool_bounds.begin());
-  }
-
-  // ------------------------------------------------ sequential tree engine
-  // Open-node pool. The node "in hand" is the dive continuation (explored
-  // without touching the pool, which keeps dfs mode's LIFO order exact);
-  // a finished dive backtracks through select_open().
-  std::vector<bb_node> open;
-  std::optional<bb_node> in_hand;
-  std::multiset<double> open_bounds; // bounds of open + in-hand nodes
-  long next_node_id = 0;
-  {
-    bb_node root_node;
-    root_node.parent_bound = -inf;
-    root_node.id = next_node_id++;
-    in_hand = std::move(root_node);
-    open_bounds.insert(-inf);
-  }
-
+  // -------------------------------------------- opportunistic pool engine
+  // A shared open pool under one mutex. Each worker dives on its own
+  // preferred child without touching the pool (the plunge keeps its warm
+  // basis hot and dfs mode's LIFO order exact); a finished dive backtracks
+  // to the best pool node by the node rule. A worker re-solves its own
+  // pool nodes warm from its current basis and reloads the recorded parent
+  // basis only for a node another worker produced (a steal). Worker 0 runs
+  // on the calling thread with the root/cut-loop solver and the root in
+  // hand, so at threads == 1 the search is the classic sequential loop: no
+  // thread, no basis reload. `pool_bounds` holds one entry per open OR
+  // in-flight node (erased at commit), so the global dual bound and the
+  // gap test stay conservative while nodes are being processed.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<bb_node> pool;
+  std::multiset<double> pool_bounds;
+  long next_node_id = 1; // the root is node 0
   long backtracks = 0;
+  int active = 1;         // worker 0 holds the root
+  bool stop = false;
+  std::atomic<double> prune_obj{have_incumbent ? incumbent_obj : inf};
+  // Reserved-or-spent strong-branching probes (see the reservation below).
+  std::atomic<long> probes_issued{0};
+  std::vector<worker_stats> wstats(static_cast<std::size_t>(threads));
+  // Engine counters of workers 1..threads-1; worker 0 runs on `lp`, which
+  // finish() counts.
+  std::vector<simplex_stats> worker_lp(static_cast<std::size_t>(threads));
   stopwatch log_watch;
+  pool_bounds.insert(-inf); // the root's entry
 
-  // Reusable per-node propagation bound buffers.
-  std::vector<double> prop_lower;
-  std::vector<double> prop_upper;
-
-  auto select_open = [&]() -> bb_node {
-    std::size_t pick = open.size() - 1; // dfs: LIFO
+  // Callers hold mu.
+  auto pool_gap_closed = [&]() {
+    if (!have_incumbent) return false;
+    const double bound = pool_bounds.empty() ? inf : *pool_bounds.begin();
+    if (bound == inf) return true;
+    const double denom = std::max(1.0, std::abs(incumbent_obj));
+    return (incumbent_obj - bound) / denom <= options.relative_gap ||
+           incumbent_obj - bound <= options.absolute_gap;
+  };
+  auto select_pool = [&]() -> bb_node {
+    std::size_t pick = pool.size() - 1; // dfs: LIFO
     if (options.node_selection == node_rule::best_estimate) {
       // Hybrid backtracking: most backtracks stay LIFO (the adjacent open
       // node keeps the warm basis hot); every second one restarts the dive
@@ -1574,15 +1305,16 @@ solution solve(const model& m, const solver_options& options) {
       const bool by_estimate = !by_bound && backtracks % 2 == 0;
       if (by_bound || by_estimate) {
         pick = 0;
-        for (std::size_t i = 1; i < open.size(); ++i) {
-          const bb_node& a = open[i];
-          const bb_node& b = open[pick];
+        for (std::size_t i = 1; i < pool.size(); ++i) {
+          const bb_node& a = pool[i];
+          const bb_node& b = pool[pick];
           bool better;
           if (by_bound) {
             better = a.parent_bound != b.parent_bound
                          ? a.parent_bound < b.parent_bound
-                         : (a.estimate != b.estimate ? a.estimate < b.estimate
-                                                     : a.id < b.id);
+                         : (a.estimate != b.estimate
+                                ? a.estimate < b.estimate
+                                : a.id < b.id);
           } else {
             better = a.estimate != b.estimate
                          ? a.estimate < b.estimate
@@ -1594,299 +1326,254 @@ solution solve(const model& m, const solver_options& options) {
         }
       }
     }
-    bb_node node = std::move(open[pick]);
-    open[pick] = std::move(open.back());
-    open.pop_back();
+    bb_node node = std::move(pool[pick]);
+    pool[pick] = std::move(pool.back());
+    pool.pop_back();
     return node;
   };
 
-  auto apply_node_bounds = [&](const bb_node& node) {
-    for (int j = 0; j < n; ++j)
-      lp->set_variable_bounds(j, root_lower[j], root_upper[j]);
-    for (const bound_change& change : node.changes)
-      lp->set_variable_bounds(change.var, change.lower, change.upper);
-  };
+  auto worker = [&](int w, simplex_solver& wlp, std::optional<bb_node> hand) {
+    std::vector<double> wl, wu;
+    // True while this worker owns an in-flight node (processing it or
+    // holding the dive continuation in `hand`); `active` sums these, so
+    // pool-empty + active == 0 really means the tree is exhausted.
+    bool counted = hand.has_value();
+    std::uint64_t seen = 0; // per-worker board stamp
+    worker_stats& ws = wstats[static_cast<std::size_t>(w)];
 
-  auto best_open_bound = [&]() {
-    double bound = open_bounds.empty() ? inf : *open_bounds.begin();
-    return bound;
-  };
+    // Only the ≤ strong_branch_candidates probe-candidate counts are
+    // snapshotted under the lock (the full table would be a large copy
+    // per node).
+    auto pc_counts = [&](const std::vector<int>& vars,
+                         std::vector<std::pair<long, long>>& out) {
+      out.resize(vars.size());
+      std::lock_guard<std::mutex> lock(mu);
+      for (std::size_t i = 0; i < vars.size(); ++i)
+        out[i] = {pseudocosts.up_count[vars[i]],
+                  pseudocosts.down_count[vars[i]]};
+    };
 
-  auto gap_closed = [&]() {
-    if (!have_incumbent) return false;
-    const double bound = best_open_bound();
-    if (bound == inf) return true; // tree exhausted
-    const double denom = std::max(1.0, std::abs(incumbent_obj));
-    return (incumbent_obj - bound) / denom <= options.relative_gap ||
-           incumbent_obj - bound <= options.absolute_gap;
-  };
-
-  while (in_hand || !open.empty()) {
-    if (board) {
-      double bobj = 0.0;
-      std::vector<double> bvals;
-      if (board->fetch(board_seen, bobj, bvals))
-        try_incumbent(std::move(bvals));
-    }
-    if (gap_closed()) break;
-    if (nodes >= options.max_nodes || time_budget.expired()) {
-      hit_limit = true;
-      break;
-    }
-
-    bb_node node;
-    if (in_hand) {
-      node = std::move(*in_hand);
-      in_hand.reset();
-    } else {
-      node = select_open();
-    }
-    open_bounds.erase(open_bounds.find(node.parent_bound));
-
-    // Bound-based pruning against the incumbent.
-    if (have_incumbent && node.parent_bound >= incumbent_obj - options.absolute_gap)
-      continue;
-
-    if (tree_rows && !node.changes.empty()) {
-      // Per-node propagation: branching fixes collapse big-M disjunctions,
-      // so a few interval passes often prune the node (or shrink its LP)
-      // before any pivot is spent.
-      prop_lower = root_lower;
-      prop_upper = root_upper;
-      for (const bound_change& change : node.changes) {
-        prop_lower[change.var] = change.lower;
-        prop_upper[change.var] = change.upper;
-      }
-      if (!propagate_node(*tree_rows, sf.is_integer, prop_lower, prop_upper,
-                          options.node_propagation_passes)) {
-        ++nodes; // processed (pruned by propagation, no LP needed)
-        continue;
-      }
-      for (int j = 0; j < n; ++j)
-        lp->set_variable_bounds(j, prop_lower[j], prop_upper[j]);
-    } else {
-      apply_node_bounds(node);
-    }
-    const lp_result relax = lp->solve(time_budget, /*warm_start=*/true);
-    ++nodes;
-    simplex_iterations += relax.iterations;
-    dual_iterations += relax.dual_iterations;
-
-    if (options.log_progress && log_watch.elapsed_seconds() > 2.0) {
-      log_watch.reset();
-      log_at(log_level::info, "milp: nodes=", nodes,
-             " open=", open.size(), " incumbent=",
-             have_incumbent ? std::to_string(sf.objective_sign * incumbent_obj +
-                                             sf.objective_constant)
-                            : std::string("none"));
-    }
-
-    if (relax.status == lp_status::time_limit) {
-      hit_limit = true;
-      break;
-    }
-    if (relax.status == lp_status::infeasible) continue;
-    if (relax.status == lp_status::unbounded) {
-      unbounded = true;
-      break;
-    }
-    if (relax.status == lp_status::iteration_limit) {
-      // Treat as unresolved: requeue would loop; drop with a warning. The
-      // iteration cap is high enough that this indicates numerical trouble.
-      log_at(log_level::warn, "milp: dropped node after iteration limit");
-      continue;
-    }
-
-    const double node_bound = relax.objective;
-    if (!root_solved) {
-      root_lp_bound = node_bound;
-      root_solved = true;
-    }
-    if (have_incumbent && node_bound >= incumbent_obj - options.absolute_gap)
-      continue;
-
-    // Collect fractional branching candidates.
-    std::vector<std::pair<double, int>> fractional; // (closeness to 0.5, var)
-    for (int j = 0; j < n; ++j) {
-      if (!sf.is_integer[j]) continue;
-      const double frac = fractional_part(relax.x[j]);
-      if (frac <= int_tol) continue;
-      fractional.emplace_back(0.5 - std::abs(frac - 0.5), j);
-    }
-
-    // Reliability initialization: before trusting pseudocosts, seed them
-    // with limited strong-branching probes -- warm-started dual re-solves
-    // with a tight iteration cap. An infeasible probe direction prunes that
-    // child outright.
-    bool down_infeasible = false;
-    bool up_infeasible = false;
-    int probed_infeasible_var = -1;
-    if (options.branching == branch_rule::pseudocost &&
-        options.reliability > 0 && probes < options.strong_branch_limit &&
-        !fractional.empty()) {
-      std::vector<std::pair<double, int>> order = fractional;
-      std::sort(order.begin(), order.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first > b.first;
-                  return a.second < b.second;
-                });
-      if (static_cast<int>(order.size()) > options.strong_branch_candidates)
-        order.resize(static_cast<std::size_t>(options.strong_branch_candidates));
-      for (const auto& [closeness, j] : order) {
-        (void)closeness;
-        if (probes >= options.strong_branch_limit) break;
-        if (std::min(pseudocosts.up_count[j], pseudocosts.down_count[j]) >=
-            options.reliability)
-          continue;
-        const double value = relax.x[j];
-        const double floor_val = std::floor(value);
-        const double frac = value - floor_val;
-        const double node_lower = lp->variable_lower(j);
-        const double node_upper = lp->variable_upper(j);
-        bool local_down_infeasible = false;
-        bool local_up_infeasible = false;
-        for (const bool up : {false, true}) {
-          if (time_budget.expired()) break;
-          if (up)
-            lp->set_variable_bounds(j, floor_val + 1.0, node_upper);
-          else
-            lp->set_variable_bounds(j, node_lower, floor_val);
-          const lp_result probe = lp->solve(
-              time_budget, /*warm_start=*/true,
-              options.strong_branch_iteration_limit);
-          lp->set_variable_bounds(j, node_lower, node_upper);
-          ++probes;
-          simplex_iterations += probe.iterations;
-          dual_iterations += probe.dual_iterations;
-          if (probe.status == lp_status::optimal) {
-            const double degradation =
-                std::max(0.0, probe.objective - node_bound);
-            const double distance = up ? 1.0 - frac : frac;
-            pseudocosts.record(j, up,
-                               degradation / std::max(distance, 1e-6));
-          } else if (probe.status == lp_status::infeasible) {
-            // Infeasibility holds only under this node's bound set, so it
-            // must not pollute the search-global pseudocost averages; the
-            // child is pruned below instead.
-            if (up)
-              local_up_infeasible = true;
-            else
-              local_down_infeasible = true;
+    for (;;) {
+      if (board) {
+        double bobj = 0.0;
+        std::vector<double> bvals;
+        if (board->fetch(seen, bobj, bvals)) {
+          // Re-validate outside the lock, adopt under it.
+          for (int j = 0; j < n; ++j)
+            if (sf.is_integer[j]) bvals[j] = std::round(bvals[j]);
+          if (m.is_feasible(bvals, 1e-5)) {
+            const double min_obj =
+                sf.objective_sign *
+                (m.evaluate_objective(bvals) - sf.objective_constant);
+            std::lock_guard<std::mutex> lock(mu);
+            if (!have_incumbent ||
+                min_obj < incumbent_obj - options.absolute_gap) {
+              have_incumbent = true;
+              incumbent_obj = min_obj;
+              incumbent_values = std::move(bvals);
+              prune_obj.store(min_obj, std::memory_order_relaxed);
+            }
           }
-          // Iteration/time-limited probes carry no trustworthy bound.
-        }
-        if (local_down_infeasible || local_up_infeasible) {
-          probed_infeasible_var = j;
-          down_infeasible = local_down_infeasible;
-          up_infeasible = local_up_infeasible;
         }
       }
-    }
 
-    // Pick the branching variable.
-    int branch_var = -1;
-    double branch_frac = 0.0;
-    double best_score = -1.0;
-    for (const auto& [closeness, j] : fractional) {
-      double score;
-      if (options.branching == branch_rule::pseudocost) {
-        score = pseudocosts.score(j, relax.x[j] - std::floor(relax.x[j]), 1.0);
-      } else {
-        score = closeness; // most fractional
+      bb_node node;
+      bool reload = true;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        if (!stop && (nodes >= options.max_nodes || time_budget.expired())) {
+          hit_limit = true;
+          stop = true;
+        }
+        if (stop) {
+          if (counted) --active;
+          cv.notify_all();
+          break;
+        }
+        if (hand) {
+          node = std::move(*hand);
+          hand.reset();
+          reload = false; // dive on: still counted, basis still hot
+        } else {
+          cv.wait(lock,
+                  [&] { return stop || !pool.empty() || active == 0; });
+          if (stop || pool.empty()) { // stop, or exhausted (active == 0)
+            cv.notify_all();
+            break;
+          }
+          node = select_pool();
+          // Only the root has no producer, and worker 0 starts with it.
+          reload = node.producer != w;
+          if (reload) ++ws.steals;
+          ++active;
+          counted = true;
+        }
       }
-      if (score > best_score) {
-        best_score = score;
-        branch_var = j;
-        branch_frac = relax.x[j];
+
+      // Reserve this node's probe allowance from the global budget before
+      // probing, so concurrent workers cannot each spend the whole
+      // remainder; the unused part is given back below. The cap is the
+      // most one node can probe (two directions per candidate), so it
+      // never binds when one worker runs.
+      long allowance = 0;
+      if (options.branching == branch_rule::pseudocost &&
+          options.reliability > 0) {
+        const long cap = 2L * options.strong_branch_candidates;
+        long issued = probes_issued.load(std::memory_order_relaxed);
+        do {
+          allowance = std::min(options.strong_branch_limit - issued, cap);
+        } while (allowance > 0 &&
+                 !probes_issued.compare_exchange_weak(
+                     issued, issued + allowance, std::memory_order_relaxed));
+        allowance = std::max(allowance, 0L);
       }
-    }
-    // A probe that proved one side infeasible makes its variable the best
-    // branch: one child is pruned before it is ever solved.
-    if (probed_infeasible_var >= 0) {
-      branch_var = probed_infeasible_var;
-      branch_frac = relax.x[branch_var];
-    } else {
-      down_infeasible = up_infeasible = false;
-    }
+      node_result nr = process_node(
+          ctx, wlp, node, reload, prune_obj.load(std::memory_order_relaxed),
+          allowance, pc_counts, wl, wu);
+      if (nr.probes_run != allowance)
+        probes_issued.fetch_add(nr.probes_run - allowance,
+                                std::memory_order_relaxed);
+      ws.simplex_iterations += nr.iterations;
+      ws.dual_simplex_iterations += nr.dual_iterations;
 
-    if (branch_var < 0) {
-      // Integral LP optimum: candidate incumbent.
-      if (try_incumbent(relax.x) && options.log_progress)
-        log_at(log_level::info, "milp: incumbent ",
-               sf.objective_sign * incumbent_obj + sf.objective_constant,
-               " at node ", nodes);
-      continue;
-    }
-
-    // Record pseudocost data for the parent of this node (per unit of
-    // fractional distance, matching the strong-branching probes).
-    if (!node.changes.empty()) {
-      const bound_change& last = node.changes.back();
-      const double degradation = node_bound - node.parent_bound;
-      if (node.parent_bound != -inf && degradation >= 0.0)
-        pseudocosts.record(last.var, last.lower > root_lower[last.var],
-                           degradation /
-                               std::max(node.branch_distance, 1e-6));
-    }
-
-    const double floor_val = std::floor(branch_frac);
-    const double frac = branch_frac - floor_val;
-
-    // Completion estimate: the branch direction's expected degradation plus
-    // the cheapest rounding of every other fractional variable.
-    const double fallback = pseudocosts.average();
-    double estimate_rest = 0.0;
-    if (options.node_selection == node_rule::best_estimate) {
-      for (const auto& [closeness, j] : fractional) {
-        (void)closeness;
-        if (j == branch_var) continue;
-        const double fj = relax.x[j] - std::floor(relax.x[j]);
-        estimate_rest +=
-            std::min(pseudocosts.down_cost(j, fallback) * fj,
-                     pseudocosts.up_cost(j, fallback) * (1.0 - fj));
+      double offer_obj = 0.0;
+      std::vector<double> offer_vals;
+      bool halt = false;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        pool_bounds.erase(pool_bounds.find(node.parent_bound));
+        if (!root_solved && node.id == 0 && nr.bound != -inf) {
+          root_lp_bound = nr.bound;
+          root_solved = true;
+        }
+        switch (nr.kind) {
+          case node_kind::skipped:
+            break; // pruned by its parent's bound before any work
+          case node_kind::time_limit:
+            ++nodes;
+            ++ws.nodes;
+            hit_limit = true;
+            stop = true;
+            break;
+          case node_kind::unbounded:
+            ++nodes;
+            ++ws.nodes;
+            unbounded = true;
+            stop = true;
+            break;
+          case node_kind::dropped:
+            ++nodes;
+            ++ws.nodes;
+            log_at(log_level::warn,
+                   "milp: dropped node after iteration limit");
+            break;
+          case node_kind::prop_pruned:
+          case node_kind::bound_pruned:
+          case node_kind::lp_infeasible:
+            ++nodes;
+            ++ws.nodes;
+            break;
+          case node_kind::integral:
+            ++nodes;
+            ++ws.nodes;
+            if (nr.candidate_feasible &&
+                (!have_incumbent ||
+                 nr.candidate_obj < incumbent_obj - options.absolute_gap)) {
+              have_incumbent = true;
+              incumbent_obj = nr.candidate_obj;
+              incumbent_values = nr.candidate;
+              prune_obj.store(incumbent_obj, std::memory_order_relaxed);
+              if (board) {
+                offer_obj = sf.objective_sign * incumbent_obj +
+                            sf.objective_constant;
+                offer_vals = std::move(nr.candidate);
+              }
+              if (options.log_progress)
+                log_at(log_level::info, "milp: incumbent ",
+                       sf.objective_sign * incumbent_obj +
+                           sf.objective_constant,
+                       " at node ", nodes);
+            }
+            break;
+          case node_kind::branched: {
+            ++nodes;
+            ++ws.nodes;
+            if (have_incumbent &&
+                nr.bound >= incumbent_obj - options.absolute_gap)
+              break; // raced: the incumbent improved during the LP solve
+            branch_output br =
+                commit_branch(ctx, node, nr, pseudocosts, next_node_id);
+            br.down.producer = w;
+            br.up.producer = w;
+            if (!br.down_infeasible) pool_bounds.insert(nr.bound);
+            if (!br.up_infeasible) pool_bounds.insert(nr.bound);
+            bb_node& preferred = br.down_preferred ? br.down : br.up;
+            bb_node& sibling = br.down_preferred ? br.up : br.down;
+            const bool preferred_pruned = br.down_preferred
+                                              ? br.down_infeasible
+                                              : br.up_infeasible;
+            const bool sibling_pruned = br.down_preferred
+                                            ? br.up_infeasible
+                                            : br.down_infeasible;
+            if (!sibling_pruned) pool.push_back(std::move(sibling));
+            if (!preferred_pruned) hand = std::move(preferred);
+            break;
+          }
+        }
+        if (!hand) {
+          --active;
+          counted = false;
+        }
+        if (pool_gap_closed()) stop = true;
+        if (options.log_progress && log_watch.elapsed_seconds() > 2.0) {
+          log_watch.reset();
+          log_at(log_level::info, "milp: nodes=", nodes,
+                 " open=", pool.size(), " incumbent=",
+                 have_incumbent
+                     ? std::to_string(sf.objective_sign * incumbent_obj +
+                                      sf.objective_constant)
+                     : std::string("none"));
+        }
+        cv.notify_all();
+        halt = stop;
       }
+      // Publish to the portfolio board outside the pool lock.
+      if (!offer_vals.empty()) board->offer(offer_obj, std::move(offer_vals));
+      if (halt) break;
     }
+  };
 
-    bb_node down_child;
-    down_child.changes = node.changes;
-    down_child.changes.push_back(
-        {branch_var, lp->variable_lower(branch_var), floor_val});
-    down_child.parent_bound = node_bound;
-    down_child.id = next_node_id++;
-    down_child.branch_distance = frac;
-    down_child.estimate =
-        node_bound + pseudocosts.down_cost(branch_var, fallback) * frac +
-        estimate_rest;
-
-    bb_node up_child;
-    up_child.changes = node.changes;
-    up_child.changes.push_back(
-        {branch_var, floor_val + 1.0, lp->variable_upper(branch_var)});
-    up_child.parent_bound = node_bound;
-    up_child.id = next_node_id++;
-    up_child.branch_distance = 1.0 - frac;
-    up_child.estimate =
-        node_bound +
-        pseudocosts.up_cost(branch_var, fallback) * (1.0 - frac) +
-        estimate_rest;
-
-    // Plunge: keep the child nearest the LP value in hand; the sibling
-    // joins the open pool (push_back keeps dfs mode's LIFO order exact).
-    // Children whose side a strong-branching probe proved infeasible are
-    // never queued.
-    const bool down_preferred = frac <= 0.5;
-    bb_node& preferred = down_preferred ? down_child : up_child;
-    bb_node& sibling = down_preferred ? up_child : down_child;
-    const bool preferred_pruned =
-        down_preferred ? down_infeasible : up_infeasible;
-    const bool sibling_pruned = down_preferred ? up_infeasible : down_infeasible;
-    if (!sibling_pruned) open.push_back(std::move(sibling));
-    if (!preferred_pruned) in_hand = std::move(preferred);
-    if (!down_infeasible) open_bounds.insert(node_bound);
-    if (!up_infeasible) open_bounds.insert(node_bound);
+  std::vector<std::thread> team;
+  team.reserve(static_cast<std::size_t>(threads - 1));
+  for (int w = 1; w < threads; ++w)
+    team.emplace_back([&, w] {
+      simplex_solver wlp(tree_lp_problem, options.lp);
+      worker(w, wlp, std::nullopt);
+      worker_lp[static_cast<std::size_t>(w)] = wlp.stats(); // read after join
+    });
+  bb_node root_node; // id 0, no producer, parent bound -inf
+  try {
+    worker(0, *lp, std::move(root_node));
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      stop = true;
+    }
+    cv.notify_all();
+    for (std::thread& t : team) t.join();
+    throw;
   }
+  for (std::thread& t : team) t.join();
 
-  return finish(in_hand.has_value() || !open.empty(), best_open_bound());
+  for (const worker_stats& ws : wstats) {
+    simplex_iterations += ws.simplex_iterations;
+    dual_iterations += ws.dual_simplex_iterations;
+  }
+  for (const simplex_stats& st : worker_lp) count_lp_stats(st);
+  probes = probes_issued.load(std::memory_order_relaxed);
+  if (threads > 1) result.workers = std::move(wstats);
+  return finish(!pool_bounds.empty(),
+                pool_bounds.empty() ? inf : *pool_bounds.begin());
 }
 
 } // namespace transtore::milp

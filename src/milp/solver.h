@@ -50,9 +50,10 @@ enum class solve_status {
 
 enum class branch_rule { most_fractional, pseudocost };
 
-/// Per-worker breakdown of a parallel tree search (solution::workers): how
-/// many nodes each thread processed, the simplex work it spent on them, and
-/// how many pool nodes it pulled that another worker produced ("steals").
+/// Per-worker breakdown of a multi-worker tree search (solution::workers):
+/// how many nodes each thread processed, the simplex work it spent on them,
+/// and how many pool nodes it pulled that another worker produced
+/// ("steals").
 /// Which worker processed which node is scheduling noise -- only the totals
 /// are deterministic in deterministic mode.
 struct worker_stats {
@@ -160,28 +161,36 @@ struct solver_options {
   int reliability = 4;
   /// Per-direction iteration cap of one strong-branching probe.
   long strong_branch_iteration_limit = 100;
-  /// Total strong-branching probes allowed across the whole search.
+  /// Total strong-branching probes allowed across the whole search. The
+  /// pool engine reserves each node's allowance before probing, so its
+  /// workers together stay within it; the deterministic engine grants the
+  /// remainder to every node of a round and can overshoot by up to a
+  /// round's probes (108 on PCR, 112 on RA12 in bench_milp), kept because
+  /// capping it would move its gated trajectory.
   long strong_branch_limit = 100;
   /// Fractional candidates probed per node (most fractional first).
   int strong_branch_candidates = 8;
   /// Optional known-feasible assignment used as the initial incumbent.
   std::optional<std::vector<double>> warm_start;
-  /// Worker threads for the branch-and-bound tree search. 1 (default) is
-  /// the classic sequential engine; 0 or negative resolves to
-  /// hardware_concurrency; > 1 engages the shared-pool parallel engine
-  /// (first-come node order, so results are run-to-run nondeterministic
-  /// unless `deterministic` is also set). Each worker owns a private
-  /// simplex instance warm-started from its node's recorded parent basis.
+  /// Worker threads for the branch-and-bound tree search; 0 or negative
+  /// resolves to hardware_concurrency. Without `deterministic` the
+  /// shared-pool engine runs this many workers, one of them on the calling
+  /// thread: 1 (default) is the classic single-threaded dive/backtrack
+  /// search, deterministic by itself; > 1 orders nodes first-come, so
+  /// results are run-to-run nondeterministic. Each worker owns a private
+  /// simplex instance (worker 0 keeps the root's) and reloads a node's
+  /// recorded parent basis only when another worker produced the node.
   int threads = 1;
   /// Round-synchronized deterministic parallel search: workers expand a
   /// fixed-width round of nodes concurrently, then commit the results in
   /// node-id order (selection, incumbent acceptance, and pseudocost
   /// updates all resolve by id, never by arrival time). Results are
   /// bit-identical for ANY `threads` value, including 1 -- but the
-  /// trajectory intentionally differs from the sequential engine's, whose
-  /// iteration counts depend on serial warm-basis continuity. Determinism
-  /// holds as long as no time limit / cancellation fires mid-search (the
-  /// same caveat as the sequential engine).
+  /// trajectory intentionally differs from the single-worker pool
+  /// engine's, whose iteration counts depend on serial warm-basis
+  /// continuity. Determinism holds as long as no time limit /
+  /// cancellation fires mid-search (the same caveat as the single-worker
+  /// pool engine).
   bool deterministic = false;
   /// Nodes expanded per synchronized round in deterministic mode. The
   /// search trajectory depends on this value, never on `threads`.
@@ -235,13 +244,15 @@ struct solution {
   bool warm_start_accepted = false;
   double warm_start_objective = 0.0;
   /// Worker threads the tree search actually ran (after resolving the
-  /// 0 = auto convention); 1 for the sequential engine.
+  /// 0 = auto convention).
   int threads_used = 1;
-  /// Per-worker breakdown of the parallel engines (empty for the
-  /// sequential engine). Sums across workers equal the tree-search part of
-  /// the solution totals (the totals additionally include the root
-  /// presolve/cut-loop simplex work, which runs before the workers start);
-  /// the per-worker split is scheduling noise even in deterministic mode.
+  /// Per-worker breakdown of the tree search (empty when the pool engine
+  /// ran a single worker, so single-threaded documents carry no
+  /// breakdown; the deterministic engine always fills it). Sums across
+  /// workers equal the tree-search part of the solution totals (the
+  /// totals additionally include the root presolve/cut-loop simplex work,
+  /// which runs before the workers start); the per-worker split is
+  /// scheduling noise even in deterministic mode.
   std::vector<worker_stats> workers;
 
   [[nodiscard]] bool has_solution() const {

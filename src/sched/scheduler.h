@@ -63,7 +63,7 @@ struct scheduler_options {
   /// MILP branch-and-bound loop.
   cancel_token cancel;
   /// Worker threads for the MILP tree search (milp::solver_options::threads):
-  /// 1 = sequential, 0 = hardware_concurrency, > 1 = parallel engine. In
+  /// 1 = single-threaded, 0 = hardware_concurrency, > 1 = parallel. In
   /// portfolio mode this is the TOTAL budget split across the racers.
   int solver_threads = 1;
   /// Round-synchronized deterministic parallel search -- bit-identical
@@ -100,7 +100,7 @@ struct scheduling_result {
   int ilp_cuts_added = 0;
   double ilp_root_bound = 0.0;
   /// Parallel-search footprint: worker threads the (winning) solve ran and
-  /// its per-worker breakdown (empty for the sequential engine).
+  /// its per-worker breakdown (empty for a single-threaded search).
   int ilp_threads = 1;
   std::vector<milp::worker_stats> ilp_workers;
   /// Portfolio bookkeeping (see ilp_schedule_result); racers is 0 when the

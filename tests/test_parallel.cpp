@@ -4,8 +4,10 @@
 //   * deterministic mode is bit-identical across thread counts on the
 //     Table 2 formulations (nodes, iterations, probes, objective, bound,
 //     and the full assignment vector),
-//   * the opportunistic pool engine reaches the sequential optimum and its
-//     per-worker breakdown sums to the solution totals,
+//   * the opportunistic pool engine at 4 workers reaches the single-worker
+//     optimum (also when the root LP is first solved inside the tree), its
+//     per-worker breakdown sums to the solution totals, and its workers
+//     together stay within the strong-branching probe budget,
 //   * the incumbent board's improvement direction / version / fetch
 //     semantics,
 //   * the racing portfolio returns a verifier-passing schedule, reports a
@@ -134,29 +136,59 @@ TEST(PoolEngine, MatchesSequentialOptimum) {
   const auto graph = assay::make_random_assay(10, 7);
   const sched::scheduling_ilp ilp = make_ilp(graph, 2);
 
-  milp::solver_options seq;
-  seq.time_limit_seconds = 300.0;
-  seq.warm_start = ilp.warm_assignment;
-  const milp::solution a = milp::solve(ilp.model, seq);
-  ASSERT_EQ(a.status, milp::solve_status::optimal);
+  milp::solver_options with_root_phase;
+  with_root_phase.time_limit_seconds = 300.0;
+  with_root_phase.warm_start = ilp.warm_assignment;
+  // Without presolve and cuts the root LP is still unsolved when the tree
+  // starts: worker 0 solves it while the other workers wait on an empty
+  // pool.
+  milp::solver_options bare_root = with_root_phase;
+  bare_root.presolve = false;
+  bare_root.cuts = false;
 
-  milp::solver_options par = seq;
-  par.threads = 4;
-  const milp::solution b = milp::solve(ilp.model, par);
-  ASSERT_EQ(b.status, milp::solve_status::optimal);
-  EXPECT_EQ(b.threads_used, 4);
-  ASSERT_EQ(b.workers.size(), 4u);
+  for (const milp::solver_options& seq : {with_root_phase, bare_root}) {
+    const milp::solution a = milp::solve(ilp.model, seq);
+    ASSERT_EQ(a.status, milp::solve_status::optimal);
+    EXPECT_EQ(a.threads_used, 1);
+    // One worker reports no per-worker breakdown: the totals are its own.
+    EXPECT_TRUE(a.workers.empty());
 
-  // First-come node order makes the trajectory nondeterministic, but the
-  // proven optimum is the optimum.
-  EXPECT_NEAR(a.objective, b.objective, 1e-6);
-  EXPECT_EQ(worker_node_sum(b), b.nodes_explored);
-  long iteration_sum = 0;
-  for (const milp::worker_stats& ws : b.workers)
-    iteration_sum += ws.simplex_iterations;
-  // Worker sums cover the tree search; the totals additionally include the
-  // root presolve/cut-loop work done before the workers start.
-  EXPECT_LE(iteration_sum, b.simplex_iterations);
+    milp::solver_options par = seq;
+    par.threads = 4;
+    const milp::solution b = milp::solve(ilp.model, par);
+    ASSERT_EQ(b.status, milp::solve_status::optimal);
+    EXPECT_EQ(b.threads_used, 4);
+    ASSERT_EQ(b.workers.size(), 4u);
+
+    // First-come node order makes the trajectory nondeterministic, but the
+    // proven optimum is the optimum.
+    EXPECT_NEAR(a.objective, b.objective, 1e-6);
+    EXPECT_EQ(worker_node_sum(b), b.nodes_explored);
+    long iteration_sum = 0;
+    for (const milp::worker_stats& ws : b.workers)
+      iteration_sum += ws.simplex_iterations;
+    // Worker sums cover the tree search; the totals additionally include
+    // the root presolve/cut-loop work done before the workers start.
+    EXPECT_LE(iteration_sum, b.simplex_iterations);
+  }
+}
+
+// Each node reserves its probe allowance from the shared budget before
+// probing, so concurrent workers cannot each spend the whole remainder.
+TEST(PoolEngine, WorkersShareTheStrongBranchBudget) {
+  for (const auto& graph :
+       {assay::make_pcr(), assay::make_random_assay(12, 12)}) {
+    const sched::scheduling_ilp ilp = make_ilp(graph, 2);
+    milp::solver_options so;
+    so.time_limit_seconds = 300.0;
+    so.max_nodes = 600; // the budget is spent within the first few hundred
+    so.warm_start = ilp.warm_assignment;
+    so.threads = 4;
+    const milp::solution sol = milp::solve(ilp.model, so);
+    ASSERT_TRUE(sol.has_solution());
+    EXPECT_GT(sol.strong_branch_probes, 0);
+    EXPECT_LE(sol.strong_branch_probes, so.strong_branch_limit);
+  }
 }
 
 // --- incumbent board ---------------------------------------------------------
